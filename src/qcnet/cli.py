@@ -261,3 +261,7 @@ def main() -> None:
     stream = sys.stdout if status == 0 else sys.stderr
     stream.write(output)
     raise SystemExit(status)
+
+
+if __name__ == "__main__":
+    main()

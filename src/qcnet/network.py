@@ -10,8 +10,10 @@ boundary, and multiplies them through each link's derivative matrix.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from . import links as lc
 from .signs import (
@@ -27,7 +29,8 @@ from .signs import (
     UP,
     ZERO,
     qadd,
-    qmatvec,
+    qmatvec_terms,
+    qsum,
     sign_of,
 )
 
@@ -142,64 +145,132 @@ class ValidationReport:
 class Network:
     """An immutable singly connected network.
 
-    Construction only checks what is needed to index the structure; call
-    :func:`validate` for the full report.  Each variable may be the child
-    of at most one link (enforced structurally here, since propagation
-    needs the mapping to be a function).
+    Construction only checks what is needed to index the structure.  The
+    first query validates the network and compiles everything that does
+    not depend on evidence (see :attr:`compiled`); later queries reuse it.
+    Each variable may be the child of at most one link (enforced
+    structurally here, since propagation needs the mapping to be a
+    function).
     """
 
     def __init__(self, variables: Iterable[Variable], links: Iterable[Link]):
-        self.variables: dict[str, Variable] = {}
+        by_name: dict[str, Variable] = {}
         for v in variables:
-            if v.name in self.variables:
+            if v.name in by_name:
                 raise NetworkError(f"duplicate variable {v.name!r}")
-            self.variables[v.name] = v
+            by_name[v.name] = v
         self.links: tuple[Link, ...] = tuple(links)
-        self.link_of: dict[str, Link] = {}
+        link_of: dict[str, Link] = {}
         for link in self.links:
-            if link.child in self.link_of:
+            if link.child in link_of:
                 raise NetworkError(f"variable {link.child!r} is the child of more than one link")
-            self.link_of[link.child] = link
+            link_of[link.child] = link
+        self.variables: Mapping[str, Variable] = MappingProxyType(by_name)
+        self.link_of: Mapping[str, Link] = MappingProxyType(link_of)
+
+    @functools.cached_property
+    def compiled(self) -> "CompiledNetwork":
+        """The validation report and the evidence-independent parts of
+        propagation, built on first use."""
+        return _compile(self)
 
     def topological_order(self) -> list[str]:
         """Variable names, parents before children. Fails on cycles."""
-        order: list[str] = []
-        state: dict[str, int] = {}
-
-        def visit(name: str) -> None:
-            mark = state.get(name, 0)
-            if mark == 2:
-                return
-            if mark == 1:
-                raise NetworkError("network contains a directed cycle")
-            state[name] = 1
-            link = self.link_of.get(name)
-            if link is not None:
-                for p in link.parents:
-                    if p in self.variables:
-                        visit(p)
-            state[name] = 2
-            order.append(name)
-
-        for name in sorted(self.variables):
-            visit(name)
-        return order
+        order = self.compiled.order
+        if order is None:
+            raise NetworkError("network contains a directed cycle")
+        return list(order)
 
     def descendants(self, name: str) -> set[str]:
         """All variables reachable from ``name`` through links, inclusive."""
+        children = self.compiled.children
         out = {name}
-        changed = True
-        while changed:
-            changed = False
-            for link in self.links:
-                if link.child not in out and any(p in out for p in link.parents):
-                    out.add(link.child)
-                    changed = True
+        todo = [name]
+        while todo:
+            for child in children.get(todo.pop(), ()):
+                if child not in out:
+                    out.add(child)
+                    todo.append(child)
         return out
 
 
+class _Step(NamedTuple):
+    """One variable of the propagation walk."""
+
+    name: str
+    parents: tuple[str, ...]  # empty for a root
+    bridged: tuple[bool, ...]  # per parent: the link crosses a formalism boundary
+    matrix: QMatrix | None
+
+
+@dataclass(frozen=True)
+class CompiledNetwork:
+    """What queries need from a network that no evidence changes."""
+
+    report: ValidationReport
+    children: Mapping[str, tuple[str, ...]]  # every name a link lists as parent -> its children
+    order: tuple[str, ...] | None  # topological; None when there is a directed cycle
+    matrices: Mapping[str, QMatrix]  # by child; empty unless the report is ok
+    steps: tuple[_Step, ...]  # in topological order; empty unless the report is ok
+
+
+def _compile(net: Network) -> CompiledNetwork:
+    children = _child_lists(net)
+    order = _kahn_order(net, children)
+    report = _check(net, order is not None)
+    if not report.ok:
+        return CompiledNetwork(report, children, order, MappingProxyType({}), ())
+    matrices: dict[str, QMatrix] = {}
+    steps = []
+    for name in order:
+        link = net.link_of.get(name)
+        if link is None:
+            steps.append(_Step(name, (), (), None))
+            continue
+        matrices[name] = matrix = link_matrix(net, link)
+        form = net.variables[name].formalism
+        bridged = tuple(net.variables[p].formalism is not form for p in link.parents)
+        steps.append(_Step(name, link.parents, bridged, matrix))
+    return CompiledNetwork(report, children, order, MappingProxyType(matrices), tuple(steps))
+
+
+def _child_lists(net: Network) -> Mapping[str, tuple[str, ...]]:
+    children: dict[str, list[str]] = {}
+    for link in net.links:
+        for p in link.parents:
+            children.setdefault(p, []).append(link.child)
+    return MappingProxyType({p: tuple(sorted(cs)) for p, cs in children.items()})
+
+
+def _kahn_order(net: Network, children: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
+    """Kahn's ordering, first the roots by name, then each variable once
+    its last parent is placed.  None when a cycle leaves some unplaced."""
+    variables = net.variables
+    pending = {
+        name: len([p for p in link.parents if p in variables])
+        for name, link in net.link_of.items()
+        if name in variables
+    }
+    order = sorted(name for name in variables if not pending.get(name))
+    for name in order:  # the list is also the queue: placed children are appended
+        for child in children.get(name, ()):
+            if child in pending:
+                pending[child] -= 1
+                if not pending[child]:
+                    order.append(child)
+    return tuple(order) if len(order) == len(variables) else None
+
+
 def validate(net: Network) -> ValidationReport:
-    """Structural and numeric checks. Reports, never raises."""
+    """Structural and numeric checks. Reports, never raises.
+
+    Queries read the same report from :attr:`Network.compiled`; this
+    checks without evaluating any link.
+    """
+    return _check(net, _kahn_order(net, _child_lists(net)) is not None)
+
+
+def _check(net: Network, acyclic: bool) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
 
@@ -229,10 +300,7 @@ def validate(net: Network) -> ValidationReport:
                         f"possibility variable {p!r} feeds a possibility link and needs an explicit prior"
                     )
 
-    # directed cycles
-    try:
-        net.topological_order()
-    except NetworkError:
+    if not acyclic:
         errors.append("network contains a directed cycle")
     else:
         # undirected cycles (single-connectedness); union-find over link edges
@@ -372,6 +440,10 @@ def bridge_change(
     """
     if from_formalism is to_formalism:
         return delta
+    return _widen(delta, zero_strict)
+
+
+def _widen(delta: tuple[QSign, QSign], zero_strict: bool) -> tuple[QSign, QSign]:
     return delta[0].widened(zero_strict), delta[1].widened(zero_strict)
 
 
@@ -438,20 +510,17 @@ class ChangeReport:
 
     def trace(self, name: str) -> set[str]:
         """Evidence variables a change at ``name`` traces back to."""
-        seen: set[str] = set()
+        seen = {name}
         roots: set[str] = set()
-
-        def walk(n: str) -> None:
-            if n in seen:
-                return
-            seen.add(n)
+        todo = [name]
+        while todo:
+            n = todo.pop()
             for contrib in self.provenance.get(n, ()):
                 if contrib.source == "evidence":
                     roots.add(n)
-                else:
-                    walk(contrib.source)
-
-        walk(name)
+                elif contrib.source not in seen:
+                    seen.add(contrib.source)
+                    todo.append(contrib.source)
         return roots
 
 
@@ -492,10 +561,11 @@ def link_matrix(net: Network, link: Link) -> QMatrix:
     raise NetworkError(f"unknown table type {type(table).__name__}")
 
 
-def _require_valid(net: Network) -> None:
-    report = validate(net)
-    if not report.ok:
-        raise NetworkError("invalid network: " + "; ".join(report.errors))
+def _require_valid(net: Network) -> CompiledNetwork:
+    compiled = net.compiled
+    if not compiled.report.ok:
+        raise NetworkError("invalid network: " + "; ".join(compiled.report.errors))
+    return compiled
 
 
 def _normalize_evidence(net: Network, evidence: Evidence) -> dict[str, tuple[QSign, QSign | None]]:
@@ -519,65 +589,46 @@ def propagate(net: Network, evidence: Evidence, zero_strict_bridge: bool = False
     bridged into the child's formalism, multiplied through the link's
     derivative matrix; evidence on an internal variable adds to whatever
     arrives from its parents.  Derivative matrices are evaluated once, at
-    the pre-evidence state.
+    the pre-evidence state, when the network is compiled.
     """
-    _require_valid(net)
-    raw_evidence = _normalize_evidence(net, evidence)
+    compiled = _require_valid(net)
+    completed = {
+        name: complete_change(net.variables[name], partial)
+        for name, partial in _normalize_evidence(net, evidence).items()
+    }
 
-    completed: dict[str, Change] = {}
-    for name, partial in raw_evidence.items():
-        completed[name] = complete_change(net.variables[name], partial)
-
-    order = net.topological_order()
     changes: dict[str, Change] = {}
-    matrices: dict[str, QMatrix] = {}
     provenance: dict[str, tuple[Contribution, ...]] = {}
 
-    for name in order:
-        var = net.variables[name]
+    for name, parents, bridged, matrix in compiled.steps:
         contribs: list[Contribution] = []
         total: Change = ZERO_CHANGE
 
-        link = net.link_of.get(name)
-        if link is not None:
-            matrix = link_matrix(net, link)
-            matrices[name] = matrix
+        if parents:
             incoming: list[QSign] = []
-            bridged_flags: dict[str, bool] = {}
-            parent_changes: dict[str, Change] = {}
-            for p in link.parents:
-                p_change = changes.get(p, ZERO_CHANGE)
-                p_form = net.variables[p].formalism
-                bridged = bridge_change(p_change, p_form, var.formalism, zero_strict_bridge)
-                bridged_flags[p] = p_form is not var.formalism
-                parent_changes[p] = bridged
-                incoming.extend(bridged)
-            result = qmatvec(matrix, QVector(tuple(incoming)))
-            total = (result[0], result[1])
-            # per-parent contributions, for the provenance trace
-            for idx, p in enumerate(link.parents):
-                cols = QVector(
-                    tuple(
-                        parent_changes[p][j - 2 * idx] if 2 * idx <= j < 2 * idx + 2 else ZERO
-                        for j in range(len(incoming))
-                    )
-                )
-                part = qmatvec(matrix, cols)
-                pair = (part[0], part[1])
-                if pair != ZERO_CHANGE:
-                    contribs.append(Contribution(p, pair, bridged_flags[p]))
+            for p, b in zip(parents, bridged):
+                change = changes.get(p, ZERO_CHANGE)
+                incoming.extend(_widen(change, zero_strict_bridge) if b else change)
+            terms = qmatvec_terms(matrix, QVector(tuple(incoming)))
+            total = (qsum(terms[0]), qsum(terms[1]))
+            # each parent's contribution sums its own two columns' terms
+            for idx, p in enumerate(parents):
+                cols = slice(2 * idx, 2 * idx + 2)
+                part = (qsum(terms[0][cols]), qsum(terms[1][cols]))
+                if part != ZERO_CHANGE:
+                    contribs.append(Contribution(p, part, bridged[idx]))
 
-        if name in completed:
-            ev = completed[name]
+        ev = completed.get(name)
+        if ev is not None:
             total = (qadd(total[0], ev[0]), qadd(total[1], ev[1]))
             contribs.append(Contribution("evidence", ev))
 
-        changes[name] = total
+        if total != ZERO_CHANGE:
+            changes[name] = total
         if contribs:
             provenance[name] = tuple(contribs)
 
-    nonzero = {n: c for n, c in changes.items() if c != ZERO_CHANGE}
-    return ChangeReport(ChangeVector(nonzero), matrices, provenance)
+    return ChangeReport(ChangeVector(changes), compiled.matrices, provenance)
 
 
 @dataclass(frozen=True)
@@ -590,10 +641,10 @@ class LinkExplanation:
 
 def explain(net: Network) -> tuple[LinkExplanation, ...]:
     """Evaluate and label every link's derivative matrix without propagating."""
-    _require_valid(net)
+    matrices = _require_valid(net).matrices
     out = []
     for link in sorted(net.links, key=lambda l: l.child):
-        matrix = link_matrix(net, link)
+        matrix = matrices[link.child]
         out.append(LinkExplanation(link.child, link.parents, matrix, _cases_for(link, matrix)))
     return tuple(out)
 

@@ -25,7 +25,6 @@ from .network import (
     POSS,
     PROB,
     propagate,
-    validate,
 )
 from .signs import NEG, POS, QSign, sign_of
 
@@ -343,7 +342,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     the monotone-widening property, since the bridge itself is an
     assumption with no numeric counterpart.
     """
-    report = validate(net)
+    report = net.compiled.report
     if not report.ok:
         raise OracleError("invalid network: " + "; ".join(report.errors))
 

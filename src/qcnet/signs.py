@@ -7,6 +7,10 @@ qualitative addition and multiplication; both are the lifted set extensions
 of the base tables on {+, 0, -}, and markers multiply change values through
 direction-sensitive rules (an up marker transmits increases only, a down
 marker decreases only).
+
+There are exactly nine values, one shared instance each, so equality is
+identity.  Addition and multiplication are looked up in tables built at
+import from the lifted definitions below.
 """
 
 from __future__ import annotations
@@ -22,10 +26,7 @@ _ALL = _POS | _ZERO | _NEG
 _UP = 8
 _DOWN = 16
 
-_VALID_CODES = frozenset(range(1, 8)) | {_UP, _DOWN}
-
 _BIT_OF_SIGN = {1: _POS, 0: _ZERO, -1: _NEG}
-_SIGN_OF_BIT = {_POS: 1, _ZERO: 0, _NEG: -1}
 
 # Base-sign sums, lifted to masks. (+) + (-) can land anywhere.
 _ADD3 = {
@@ -54,37 +55,51 @@ _TOKENS = {
 _CODES_BY_TOKEN = {tok: code for code, tok in _TOKENS.items()}
 
 
-@dataclass(frozen=True, slots=True)
 class QSign:
     """A qualitative change or derivative value.
 
     Wraps a small integer code: bits for the base signs of a sign set, or
-    one of two reserved marker codes.  Use the module constants (POS, ZERO,
-    NEG, UNKNOWN, POS_ZERO, NEG_ZERO, UP, DOWN) rather than building codes
-    by hand.
+    one of two reserved marker codes.  ``QSign(code)`` returns the one
+    shared instance for that code; the module constants (POS, ZERO, NEG,
+    UNKNOWN, POS_ZERO, NEG_ZERO, UP, DOWN) name the common ones.
     """
 
+    __slots__ = ("code",)
     code: int
 
-    def __post_init__(self) -> None:
-        if self.code not in _VALID_CODES:
-            raise ValueError(f"invalid QSign code {self.code!r}")
+    def __new__(cls, code: int) -> "QSign":
+        try:
+            return _SIGN_OF_CODE[code]
+        except KeyError:
+            raise ValueError(f"invalid QSign code {code!r}") from None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("QSign values are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("QSign values are immutable")
+
+    def __hash__(self) -> int:
+        return self.code
+
+    def __reduce__(self):
+        return QSign, (self.code,)
 
     # -- classification -------------------------------------------------
 
     @property
     def is_marker(self) -> bool:
-        return self.code in (_UP, _DOWN)
+        return self.code > _ALL
 
     @property
     def is_sign_set(self) -> bool:
-        return not self.is_marker
+        return self.code <= _ALL
 
     def signs(self) -> frozenset[int]:
         """Member base signs as ints (+1, 0, -1). Markers have none."""
         if self.is_marker:
             raise ValueError("markers do not denote a set of signs")
-        return frozenset(s for s, bit in _BIT_OF_SIGN.items() if self.code & bit)
+        return _members(self.code)
 
     def contains(self, sign: int) -> bool:
         """Whether a base sign (+1, 0 or -1) is a possible direction."""
@@ -94,13 +109,13 @@ class QSign:
 
     def issubset(self, other: "QSign") -> bool:
         if self.is_marker or other.is_marker:
-            return self == other
+            return self is other
         return self.code & other.code == self.code
 
     def union(self, other: "QSign") -> "QSign":
         if self.is_marker or other.is_marker:
             raise ValueError("cannot take the union of marker values")
-        return QSign(self.code | other.code)
+        return _SIGN_OF_CODE[self.code | other.code]
 
     def __or__(self, other: "QSign") -> "QSign":
         return self.union(other)
@@ -114,7 +129,7 @@ class QSign:
             m |= _NEG
         if self.code & _NEG:
             m |= _POS
-        return QSign(m)
+        return _SIGN_OF_CODE[m]
 
     def widened(self, zero_strict: bool = False) -> "QSign":
         """Monotone widening used when crossing formalisms.
@@ -127,7 +142,7 @@ class QSign:
             raise ValueError("markers cannot be widened")
         if zero_strict and self.code & _ZERO:
             return UNKNOWN
-        return QSign(self.code | _ZERO)
+        return _SIGN_OF_CODE[self.code | _ZERO]
 
     # -- text ------------------------------------------------------------
 
@@ -137,7 +152,7 @@ class QSign:
     @staticmethod
     def from_token(text: str) -> "QSign":
         try:
-            return QSign(_CODES_BY_TOKEN[text])
+            return _SIGN_OF_CODE[_CODES_BY_TOKEN[text]]
         except KeyError:
             raise ValueError(f"unknown sign token {text!r}") from None
 
@@ -154,6 +169,15 @@ class QSign:
     def __repr__(self) -> str:
         return f"QSign({self.token()!r})"
 
+
+def _intern(code: int) -> QSign:
+    sign = object.__new__(QSign)
+    object.__setattr__(sign, "code", code)
+    return sign
+
+
+#: The shared instance of every valid code.
+_SIGN_OF_CODE = {code: _intern(code) for code in _TOKENS}
 
 POS = QSign(_POS)
 ZERO = QSign(_ZERO)
@@ -188,19 +212,59 @@ def sign_of(x: float, zero_tolerance: float = 0.0) -> QSign:
     return ZERO
 
 
+# ---------------------------------------------------------------------------
+# arithmetic: lifted set definitions, tabulated over the codes at import
+# ---------------------------------------------------------------------------
+
+def _members(code: int) -> frozenset[int]:
+    return frozenset(s for s, bit in _BIT_OF_SIGN.items() if code & bit)
+
+
+def _lifted_add(a: int, b: int) -> int:
+    """Code of the sum of two sign sets: the union of their base sums."""
+    mask = 0
+    for sa in _members(a):
+        for sb in _members(b):
+            mask |= _ADD3[(sa, sb)]
+    return mask
+
+
+def _lifted_mul(change: int, deriv: int) -> int:
+    """Code of a sign-set change times a derivative value (marker or set)."""
+    mask = 0
+    if deriv == _UP:
+        for s in _members(change):
+            mask |= (_POS | _ZERO) if s > 0 else _ZERO
+    elif deriv == _DOWN:
+        for s in _members(change):
+            mask |= (_NEG | _ZERO) if s < 0 else _ZERO
+    else:
+        for sa in _members(change):
+            for sb in _members(deriv):
+                mask |= _BIT_OF_SIGN[sa * sb]
+    return mask
+
+
+# _ADD[a][b] and _MUL[change][deriv] are result codes.  Rows exist only for
+# sign-set codes (index 0 is a placeholder), so a marker in a sign-set
+# position raises IndexError, which the operations turn into ValueError.
+_SET_CODES = range(1, _ALL + 1)
+_ADD = ((),) + tuple(tuple([0] + [_lifted_add(a, b) for b in _SET_CODES]) for a in _SET_CODES)
+_MUL = ((),) + tuple(
+    tuple(_lifted_mul(c, d) if d in _SIGN_OF_CODE else 0 for d in range(_DOWN + 1)) for c in _SET_CODES
+)
+
+
 def qadd(a: QSign, b: QSign) -> QSign:
     """Qualitative addition, lifted over sign sets.
 
     Rejects markers: they are derivative annotations, not changes, and the
     addition table is defined on changes only.
     """
-    if a.is_marker or b.is_marker:
-        raise ValueError("qualitative addition is undefined for markers")
-    mask = 0
-    for sa in a.signs():
-        for sb in b.signs():
-            mask |= _ADD3[(sa, sb)]
-    return QSign(mask)
+    try:
+        return _SIGN_OF_CODE[_ADD[a.code][b.code]]
+    except IndexError:
+        raise ValueError("qualitative addition is undefined for markers") from None
 
 
 def qmul(change: QSign, deriv: QSign) -> QSign:
@@ -211,23 +275,21 @@ def qmul(change: QSign, deriv: QSign) -> QSign:
     negative one exactly zero); the down marker is the mirror image.  The
     result is always a sign set.
     """
-    if change.is_marker:
-        raise ValueError("the change operand cannot be a marker")
-    if deriv.code == _UP:
-        mask = 0
-        for s in change.signs():
-            mask |= (_POS | _ZERO) if s > 0 else _ZERO
-        return QSign(mask)
-    if deriv.code == _DOWN:
-        mask = 0
-        for s in change.signs():
-            mask |= (_NEG | _ZERO) if s < 0 else _ZERO
-        return QSign(mask)
-    mask = 0
-    for sa in change.signs():
-        for sb in deriv.signs():
-            mask |= _BIT_OF_SIGN[sa * sb]
-    return QSign(mask)
+    try:
+        return _SIGN_OF_CODE[_MUL[change.code][deriv.code]]
+    except IndexError:
+        raise ValueError("the change operand cannot be a marker") from None
+
+
+def qsum(values: Iterable[QSign]) -> QSign:
+    """Fold qualitative addition over ``values``; an empty fold is ZERO."""
+    acc = _ZERO
+    try:
+        for v in values:
+            acc = _ADD[acc][v.code]
+    except IndexError:
+        raise ValueError("qualitative addition is undefined for markers") from None
+    return _SIGN_OF_CODE[acc]
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,19 +344,19 @@ class QMatrix:
         return "[" + "; ".join(" ".join(e.token() for e in row) for row in self.rows) + "]"
 
 
+def qmatvec_terms(m: QMatrix, v: QVector) -> tuple[tuple[QSign, ...], ...]:
+    """The products ``qmul(v[j], m[i][j])``, row by row, that :func:`qmatvec` sums."""
+    n_cols = len(m.rows[0])
+    if n_cols != len(v):
+        raise ValueError(f"dimension mismatch: matrix has {n_cols} columns, vector {len(v)} entries")
+    products = [_MUL[e.code] for e in v.entries]
+    return tuple(tuple([_SIGN_OF_CODE[p[d.code]] for p, d in zip(products, row)]) for row in m.rows)
+
+
 def qmatvec(m: QMatrix, v: QVector) -> QVector:
     """Multiply a change vector through a derivative matrix.
 
     Entry i folds ``qmul(v[j], m[i][j])`` over j with qualitative addition;
     an empty fold is a zero change.
     """
-    n_rows, n_cols = m.shape
-    if n_cols != len(v):
-        raise ValueError(f"dimension mismatch: matrix has {n_cols} columns, vector {len(v)} entries")
-    out = []
-    for i in range(n_rows):
-        acc = ZERO
-        for j in range(n_cols):
-            acc = qadd(acc, qmul(v[j], m[i][j]))
-        out.append(acc)
-    return QVector(tuple(out))
+    return QVector(tuple(qsum(row) for row in qmatvec_terms(m, v)))

@@ -1,6 +1,10 @@
 """Command line behaviour: output tables, exit codes, determinism."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +221,15 @@ class TestUsage:
     def test_no_arguments(self):
         status, _ = run_command([])
         assert status == 2
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["qcnet", "qcnet.cli"])
+    def test_python_dash_m(self, module):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "validate", MEDICAL],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")

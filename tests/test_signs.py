@@ -1,6 +1,8 @@
 """Sign algebra: canonical tables cell-for-cell, lattice laws, soundness."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -22,7 +24,9 @@ from qcnet.signs import (
     ZERO,
     qadd,
     qmatvec,
+    qmatvec_terms,
     qmul,
+    qsum,
     sign_of,
 )
 
@@ -275,3 +279,73 @@ class TestSubsetsAndCanonicals:
         assert POS_ZERO.negated() == NEG_ZERO
         assert ZERO.negated() == ZERO
         assert UNKNOWN.negated() == UNKNOWN
+
+
+class TestLookupTables:
+    """The tabulated operations against the lifted set definitions."""
+
+    BASE_ADD = {
+        (1, 1): {1}, (1, 0): {1}, (1, -1): {1, 0, -1},
+        (0, 1): {1}, (0, 0): {0}, (0, -1): {-1},
+        (-1, 1): {1, 0, -1}, (-1, 0): {-1}, (-1, -1): {-1},
+    }
+
+    @staticmethod
+    def lifted_add(a, b):
+        return QSign.from_signs(
+            s for sa in a.signs() for sb in b.signs() for s in TestLookupTables.BASE_ADD[(sa, sb)]
+        )
+
+    @staticmethod
+    def lifted_mul(change, deriv):
+        if deriv is UP:
+            return QSign.from_signs(s for sa in change.signs() for s in ((1, 0) if sa > 0 else (0,)))
+        if deriv is DOWN:
+            return QSign.from_signs(s for sa in change.signs() for s in ((-1, 0) if sa < 0 else (0,)))
+        return QSign.from_signs(sa * sb for sa in change.signs() for sb in deriv.signs())
+
+    def test_every_sum(self):
+        for a in SIGN_SETS:
+            for b in SIGN_SETS:
+                expected = self.lifted_add(a, b)
+                assert qadd(a, b) is expected, f"{a} + {b}"
+                assert qsum((a, b)) is expected
+
+    def test_every_product(self):
+        for change in SIGN_SETS:
+            for deriv in (*SIGN_SETS, UP, DOWN):
+                assert qmul(change, deriv) is self.lifted_mul(change, deriv), f"{change} * {deriv}"
+
+    def test_markers_rejected_as_changes(self):
+        for marker in (UP, DOWN):
+            for other in (*SIGN_SETS, UP, DOWN):
+                with pytest.raises(ValueError, match="undefined for markers"):
+                    qadd(marker, other)
+                with pytest.raises(ValueError, match="undefined for markers"):
+                    qadd(other, marker)
+                with pytest.raises(ValueError, match="cannot be a marker"):
+                    qmul(marker, other)
+            with pytest.raises(ValueError, match="undefined for markers"):
+                qsum((POS, marker))
+
+    def test_values_are_interned(self):
+        for s in (*SIGN_SETS, UP, DOWN):
+            assert QSign(s.code) is s
+            assert QSign.from_token(s.token()) is s
+            assert copy.deepcopy(s) is s and pickle.loads(pickle.dumps(s)) is s
+        for a in SIGN_SETS:
+            assert a.negated() in SIGN_SETS and a.negated() is QSign(a.negated().code)
+            assert a.widened() is QSign(a.code | ZERO.code)
+            for b in SIGN_SETS:
+                assert a.union(b) is QSign(a.code | b.code)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            POS.code = 4
+
+    def test_matvec_terms_fold_to_matvec(self):
+        m = QMatrix(((UP, NEG, POS, DOWN), (ZERO, POS, UNKNOWN, UP)))
+        v = QVector((POS, NEG_ZERO, ZERO, UNKNOWN))
+        terms = qmatvec_terms(m, v)
+        assert terms == tuple(tuple(qmul(v[j], row[j]) for j in range(4)) for row in m.rows)
+        assert qmatvec(m, v) == QVector(tuple(qsum(row) for row in terms))
