@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import links as lc
 from .network import (
     BEL,
     Change,
+    ConditionalTable,
     Evidence,
     Formalism,
     Link,
@@ -26,9 +27,10 @@ from .network import (
     PROB,
     propagate,
 )
-from .signs import NEG, POS, QSign, sign_of
+from .signs import NEG, POS, QSign, ZERO, sign_of
 
 RESAMPLE_CAP = 100
+_DEGENERATE_TOL = 1e-9  # states this close to a decision boundary are resampled
 
 INCREASE = "increase"
 DECREASE = "decrease"
@@ -94,102 +96,161 @@ def sample_model(net: Network, seed: int) -> QuantModel:
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation down the polytree
+# exact evaluation in topological order
 # ---------------------------------------------------------------------------
 
-def _exact(model: QuantModel, name: str, memo: dict[str, tuple[float, float]]) -> tuple[float, float]:
-    if name in memo:
-        return memo[name]
-    net = model.network
-    var = net.variables[name]
-    link = net.link_of.get(name)
-    if link is None:
-        value = model.priors[name]
-        memo[name] = value
-        return value
-    for p in link.parents:
-        if net.variables[p].formalism is not var.formalism:
-            raise OracleError(
-                f"cannot evaluate {name!r}: parent {p!r} lives in another formalism"
-            )
-    table = link.table
-    parent_vals = [_exact(model, p, memo) for p in link.parents]
-
-    def pv(idx: int, pos: bool) -> float:
-        return parent_vals[idx][0 if pos else 1]
-
+def _link_value(table: ConditionalTable, parent_values: list[tuple[float, float]]) -> tuple[float, float]:
+    """Exact (x, ~x) of a link's child from its parents' exact values:
+    total probability, sup-min, or mass-weighted sums.  Longer sums than
+    two terms use ``sum``, in a fixed order: from Python 3.12 ``sum``
+    rounds differently from chained ``+``."""
     if isinstance(table, lc.ProbCond1):
-        p_c = pv(0, True) * table.get(True, True) + pv(0, False) * table.get(True, False)
-        value = (p_c, 1.0 - p_c)
-    elif isinstance(table, lc.ProbCond2):
-        p_d = sum(
-            pv(0, bp) * pv(1, cp) * table.get(True, bp, cp)
-            for bp in (True, False)
-            for cp in (True, False)
+        a, na = parent_values[0]
+        p_c = a * table.p_c_given_a + na * table.p_c_given_na
+        return p_c, 1.0 - p_c
+    if isinstance(table, lc.ProbCond2):
+        (b, nb), (c, nc) = parent_values
+        p_d = sum((
+            b * c * table.p_d_given_bc,
+            b * nc * table.p_d_given_b_nc,
+            nb * c * table.p_d_given_nb_c,
+            nb * nc * table.p_d_given_nb_nc,
+        ))
+        return p_d, 1.0 - p_d
+    if isinstance(table, lc.PossCond1):
+        a, na = parent_values[0]
+        return (
+            max(min(table.pi_c_given_a, a), min(table.pi_c_given_na, na)),
+            max(min(table.pi_nc_given_a, a), min(table.pi_nc_given_na, na)),
         )
-        value = (p_d, 1.0 - p_d)
-    elif isinstance(table, lc.PossCond1):
-        value = tuple(
-            max(min(table.get(cp, ap), pv(0, ap)) for ap in (True, False))
-            for cp in (True, False)
-        )
-    elif isinstance(table, lc.PossCond2):
-        value = tuple(
+    if isinstance(table, lc.PossCond2):
+        (b, nb), (c, nc) = parent_values
+        return (
             max(
-                min(table.get(cp, bp, cpp), pv(0, bp), pv(1, cpp))
-                for bp in (True, False)
-                for cpp in (True, False)
-            )
-            for cp in (True, False)
+                min(table.pi_d_given_bc, b, c),
+                min(table.pi_d_given_b_nc, b, nc),
+                min(table.pi_d_given_nb_c, nb, c),
+                min(table.pi_d_given_nb_nc, nb, nc),
+            ),
+            max(
+                min(table.pi_nd_given_bc, b, c),
+                min(table.pi_nd_given_b_nc, b, nc),
+                min(table.pi_nd_given_nb_c, nb, c),
+                min(table.pi_nd_given_nb_nc, nb, nc),
+            ),
         )
-    elif isinstance(table, lc.BelCond1):
-        masses = _masses(parent_vals[0])
-        value = tuple(
-            sum(m * table.get(cp, cell) for cell, m in masses) for cp in (True, False)
+    if isinstance(table, lc.BelCond1):
+        # masses on the outcome, its complement and the frame
+        a, na = parent_values[0]
+        frame = 1.0 - a - na
+        return (
+            sum((a * table.bel_c_given_a, na * table.bel_c_given_na, frame * table.bel_c_given_frame)),
+            sum((a * table.bel_nc_given_a, na * table.bel_nc_given_na, frame * table.bel_nc_given_frame)),
         )
-    elif isinstance(table, lc.BelCond2Joint):
-        m1 = _masses(parent_vals[0])
-        m2 = _masses(parent_vals[1])
-        value = tuple(
-            sum(ma * mb * table.get(cp, ca, cb) for ca, ma in m1 for cb, mb in m2)
-            for cp in (True, False)
+    if isinstance(table, lc.BelCond2Joint):
+        # joint masses in the table's cell order: first parent's cell major
+        m1 = _masses(parent_values[0])
+        m2 = _masses(parent_values[1])
+        joint = [ma * mb for ma in m1 for mb in m2]
+        cells = table.cells
+        return (
+            sum([m * cells[k] for k, m in enumerate(joint)]),
+            sum([m * cells[k + 9] for k, m in enumerate(joint)]),
         )
-    elif isinstance(table, lc.BelCond2Separate):
-        raise OracleError(
-            f"cannot evaluate {name!r}: per-parent belief tables have no trusted combination formula"
-        )
-    else:
-        raise OracleError(f"unknown table type {type(table).__name__}")
-    memo[name] = value  # type: ignore[assignment]
-    return memo[name]
+    raise OracleError(f"no exact formula for {type(table).__name__} tables")
 
 
-def _masses(pair: tuple[float, float]) -> tuple[tuple[lc.Cell, float], ...]:
+def _masses(pair: tuple[float, float]) -> tuple[float, float, float]:
     b, d = pair
-    return ((True, b), (False, d), (None, 1.0 - b - d))
+    return b, d, 1.0 - b - d
+
+
+def _evaluate(
+    model: QuantModel, names: Iterable[str], values: dict[str, tuple[float, float]]
+) -> dict[str, tuple[float, float]]:
+    """Fill ``values`` with the exact value of each name, in the given
+    order (topological): a root takes its prior, any other variable its
+    link's formula over parent values already in ``values``."""
+    link_of = model.network.link_of
+    priors = model.priors
+    for name in names:
+        link = link_of.get(name)
+        if link is None:
+            values[name] = priors[name]
+        else:
+            values[name] = _link_value(link.table, [values[p] for p in link.parents])
+    return values
+
+
+def _ancestry(net: Network, names: Iterable[str]) -> tuple[list[str], str | None]:
+    """The names and all their ancestors, in compiled order, and why the
+    first name without an exact value has none (None when all have one).
+
+    The walk is depth first from each name in turn, parents in link order,
+    the order in which the recursive definition evaluates them, so the
+    reason names the variable that definition stops at: a parent in
+    another formalism is met on the way down, a per-parent belief table on
+    the way back up.
+    """
+    seen: set[str] = set()
+    for name in names:
+        stack = [(name, False)]
+        while stack:
+            v, back = stack.pop()
+            link = net.link_of.get(v)
+            if back:
+                if isinstance(link.table, lc.BelCond2Separate):
+                    return [], f"cannot evaluate {v!r}: per-parent belief tables have no trusted combination formula"
+                continue
+            if v in seen:
+                continue
+            seen.add(v)
+            if link is None:
+                continue
+            formalism = net.variables[v].formalism
+            for p in link.parents:
+                if net.variables[p].formalism is not formalism:
+                    return [], f"cannot evaluate {v!r}: parent {p!r} lives in another formalism"
+            stack.append((v, True))
+            stack.extend((p, False) for p in reversed(link.parents))
+    return [v for v in net.compiled.order if v in seen], None
+
+
+def _require_valid(net: Network) -> None:
+    report = net.compiled.report
+    if not report.ok:
+        raise OracleError("invalid network: " + "; ".join(report.errors))
 
 
 def _exact_typed(model: QuantModel, name: str, formalism: Formalism, label: str) -> tuple[float, float]:
-    var = model.network.variables.get(name)
+    net = model.network
+    var = net.variables.get(name)
     if var is None:
         raise OracleError(f"unknown variable {name!r}")
     if var.formalism is not formalism:
         raise OracleError(f"{name!r} is not a {label} variable")
-    return _exact(model, name, {})
+    _require_valid(net)
+    segment, refusal = _ancestry(net, (name,))
+    if refusal is not None:
+        raise OracleError(refusal)
+    return _evaluate(model, segment, {})[name]
 
 
 def exact_probability(model: QuantModel, name: str) -> tuple[float, float]:
-    """Exact (p(x), p(~x)) by recursion down the polytree."""
+    """Exact (p(x), p(~x)) by total probability, evaluating the ancestry
+    of ``name`` once in topological order."""
     return _exact_typed(model, name, PROB, "probability")
 
 
 def exact_possibility(model: QuantModel, name: str) -> tuple[float, float]:
-    """Exact (pi(x), pi(~x)) by sup-min evaluation."""
+    """Exact (pi(x), pi(~x)) by sup-min evaluation of the ancestry of
+    ``name`` in topological order."""
     return _exact_typed(model, name, POSS, "possibility")
 
 
 def exact_belief(model: QuantModel, name: str) -> tuple[float, float]:
-    """Exact (bel(x), bel(~x)) by mass-weighted sums."""
+    """Exact (bel(x), bel(~x)) by mass-weighted sums over the ancestry of
+    ``name`` in topological order."""
     return _exact_typed(model, name, BEL, "belief")
 
 
@@ -229,13 +290,6 @@ class ContainmentReport:
     def passed(self) -> bool:
         return self.completed > 0 and all(r.failures == 0 for r in self.rows)
 
-    @property
-    def pass_rate(self) -> float:
-        checked = [r for r in self.rows if r.kind == "checked"]
-        if not checked:
-            return 1.0
-        return sum(1 for r in checked if r.verdict == "PASS") / len(checked)
-
     def to_table(self) -> str:
         lines = ["variable\tpredicted\tobserved\tverdict"]
         for row in self.rows:
@@ -260,12 +314,7 @@ def _histogram(counts: tuple[int, int, int]) -> str:
     return ",".join(parts) if parts else "none"
 
 
-_SIGN_SLOT = {1: 0, 0: 1, -1: 2}
-
-
-def _observed_slot(s: QSign) -> int:
-    (member,) = s.signs()
-    return _SIGN_SLOT[member]
+_OBSERVED_SLOT = {POS: 0, ZERO: 1, NEG: 2}  # histogram slot of an observed sign
 
 
 def _perturb(
@@ -299,17 +348,9 @@ def _perturb(
     return x - eps, nx
 
 
-def _ancestry_formalism_ok(net: Network, name: str, formalism: Formalism) -> bool:
-    if net.variables[name].formalism is not formalism:
-        return False
-    link = net.link_of.get(name)
-    if link is None:
-        return True
-    return all(_ancestry_formalism_ok(net, p, formalism) for p in link.parents)
-
-
-def _link_degenerate(model: QuantModel, link: Link, tol: float) -> bool:
-    table = link.table
+def _table_degenerate(table: ConditionalTable, tol: float) -> bool:
+    """Whether a probability or belief table sits within ``tol`` of a
+    decision boundary; these margins do not depend on the sampled priors."""
     if isinstance(table, lc.ProbCond1):
         return lc.prob_link_margin(table) < tol
     if isinstance(table, lc.ProbCond2):
@@ -318,18 +359,21 @@ def _link_degenerate(model: QuantModel, link: Link, tol: float) -> bool:
         return lc.bel_link_margin(table) < tol
     if isinstance(table, lc.BelCond2Joint):
         return lc.bel_pair_joint_margin(table) < tol
+    return False
+
+
+def _state_degenerate(link: Link, values: Mapping[str, tuple[float, float]], tol: float) -> bool:
+    """Whether a possibility link sits within ``tol`` of a decision boundary
+    at its parents' values."""
+    table = link.table
     try:
+        states = [lc.PossState(*values[p]) for p in link.parents]
         if isinstance(table, lc.PossCond1):
-            state = lc.PossState(*_exact(model, link.parents[0], {}))
-            return lc.poss_link_degenerate(table, state, tol)
-        if isinstance(table, lc.PossCond2):
-            s1 = lc.PossState(*_exact(model, link.parents[0], {}))
-            s2 = lc.PossState(*_exact(model, link.parents[1], {}))
-            return lc.poss_pair_degenerate(table, s1, s2, tol)
+            return lc.poss_link_degenerate(table, states[0], tol)
+        return lc.poss_pair_degenerate(table, states[0], states[1], tol)
     except ValueError as exc:
         # an unnormalized upstream table can denormalize a computed state
         raise OracleError(f"possibility state for link into {link.child!r} is unnormalized: {exc}") from exc
-    return False
 
 
 def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) -> ContainmentReport:
@@ -342,9 +386,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     the monotone-widening property, since the bridge itself is an
     assumption with no numeric counterpart.
     """
-    report = net.compiled.report
-    if not report.ok:
-        raise OracleError("invalid network: " + "; ".join(report.errors))
+    _require_valid(net)
 
     if spec.target not in net.variables:
         raise OracleError(f"unknown target variable {spec.target!r}")
@@ -363,7 +405,14 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     prediction = propagate(net, evidence).changes
     target_form = net.variables[spec.target].formalism
     downstream = net.descendants(spec.target)
-    checked = sorted(v for v in downstream if _ancestry_formalism_ok(net, v, target_form))
+    same_form: set[str] = set()  # variables whose whole ancestry is in the target's formalism
+    for v in net.compiled.order:
+        link = net.link_of.get(v)
+        if net.variables[v].formalism is target_form and (
+            link is None or all(p in same_form for p in link.parents)
+        ):
+            same_form.add(v)
+    checked = sorted(downstream & same_form)
     checked_set = set(checked)
     bridge = sorted(
         link.child
@@ -373,7 +422,16 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         and any(p in checked_set for p in link.parents)
     )
     unchecked = sorted(downstream - checked_set - set(bridge))
-    segment_links = [net.link_of[v] for v in checked if v in net.link_of]
+    # Only the segment (the checked variables and their ancestors) is
+    # evaluated; the perturbation changes only the checked variables below
+    # the target, all of them non-roots.  Probability and belief margins
+    # depend on the tables alone, so they are computed once per check;
+    # possibility links are degenerate or not at each sampled state.
+    segment, refusal = _ancestry(net, checked)
+    below = [v for v in segment if v in checked_set and v != spec.target]
+    segment_links = [net.link_of[v] for v in checked if v != spec.target]
+    table_degenerate = any(_table_degenerate(link.table, _DEGENERATE_TOL) for link in segment_links)
+    poss_links = [link for link in segment_links if isinstance(link.table, (lc.PossCond1, lc.PossCond2))]
 
     pos_counts = {v: [0, 0, 0] for v in checked}
     neg_counts = {v: [0, 0, 0] for v in checked}
@@ -382,25 +440,27 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     completed = resampled = skipped = 0
 
     for trial in range(spec.trials):
-        model = None
         for attempt in range(RESAMPLE_CAP):
             trial_seed = (spec.seed * 1_000_003 + trial) * 1_000_003 + attempt
-            candidate = sample_model(net, trial_seed)
-            moved = _perturb(target_form, candidate.priors[spec.target], spec.direction, spec.epsilon)
-            if moved is None or any(
-                _link_degenerate(candidate, link, 1e-9) for link in segment_links
-            ):
+            model = sample_model(net, trial_seed)
+            moved = _perturb(target_form, model.priors[spec.target], spec.direction, spec.epsilon)
+            if moved is None or table_degenerate:
                 resampled += 1
                 continue
-            model = candidate
+            if refusal is not None:  # only a trial that evaluates needs a formula
+                raise OracleError(refusal)
+            base = _evaluate(model, segment, {})
+            if any(_state_degenerate(link, base, _DEGENERATE_TOL) for link in poss_links):
+                resampled += 1
+                continue
             break
-        if model is None:
+        else:
             skipped += 1
             continue
 
-        base = {v: _exact(model, v, {}) for v in checked}
-        after_model = model.with_prior(spec.target, moved)
-        after = {v: _exact(after_model, v, {}) for v in checked}
+        after = dict(base)
+        after[spec.target] = moved
+        _evaluate(model, below, after)
         observed: dict[str, tuple[QSign, QSign]] = {}
         for v in checked:
             obs = (
@@ -408,8 +468,8 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
                 sign_of(after[v][1] - base[v][1], spec.zero_tolerance),
             )
             observed[v] = obs
-            pos_counts[v][_observed_slot(obs[0])] += 1
-            neg_counts[v][_observed_slot(obs[1])] += 1
+            pos_counts[v][_OBSERVED_SLOT[obs[0]]] += 1
+            neg_counts[v][_OBSERVED_SLOT[obs[1]]] += 1
             pred = prediction[v]
             if not (obs[0].issubset(pred[0]) and obs[1].issubset(pred[1])):
                 failures[v] += 1

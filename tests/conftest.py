@@ -24,7 +24,7 @@ from qcnet.links import (
     prob_link_margin,
     prob_pair_margin,
 )
-from qcnet.network import BEL, Link, Network, POSS, PROB, Variable
+from qcnet.network import BEL, Formalism, Link, Network, POSS, PROB, Variable
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -201,8 +201,11 @@ def _rand_table_for(child: Variable, arity: int, rng: random.Random):
     return rand_poss_cond1(rng) if arity == 1 else rand_poss_cond2(rng)
 
 
-def random_polytree(rng: random.Random, n_vars: int = 6) -> Network:
-    """A random singly connected network mixing all three formalisms.
+def random_polytree(
+    rng: random.Random, n_vars: int = 6, formalisms: tuple[Formalism, ...] = (PROB, POSS, BEL)
+) -> Network:
+    """A random singly connected network, each variable in one of
+    ``formalisms`` (by default it mixes all three).
 
     Possibility variables always get explicit priors (their outgoing links
     need them); probability and belief variables stay interior.
@@ -213,7 +216,7 @@ def random_polytree(rng: random.Random, n_vars: int = 6) -> Network:
 
     for i in range(n_vars):
         name = f"v{i}"
-        formalism = rng.choice((PROB, POSS, BEL))
+        formalism = rng.choice(formalisms)
         prior = rand_poss_prior(rng) if formalism is POSS else None
         var = Variable(name, formalism, prior)
         variables.append(var)

@@ -170,6 +170,26 @@ class TestVerifyCommand:
         assert "# target=s direction=increase" in out
         assert "# target=t direction=increase" in out
 
+    def test_deep_chain(self, tmp_path):
+        lines = ["node x0 prob"]
+        for i in range(1, 2000):
+            lines += [
+                f"node x{i} prob",
+                f"link x{i - 1} -> x{i}",
+                f"cond x{i} | x{i - 1} = 0.8",
+                f"cond x{i} | ~x{i - 1} = 0.2",
+            ]
+        path = tmp_path / "chain.qn"
+        path.write_text("\n".join(lines) + "\n")
+        status, out = run_command(["verify", str(path), "--evidence", "x0=+", "--trials", "2"])
+        # the chain's far end reads 0 where + is predicted (a known false
+        # FAIL of the fixed perturbation size), so either status is a result
+        assert status in (0, 1)
+        out_lines = out.splitlines()
+        assert out_lines[:2] == ["# target=x0 direction=increase", "variable\tpredicted\tobserved\tverdict"]
+        assert len(out_lines) == 2 + 2000 + 1
+        assert out_lines[-1] == "# trials=2 completed=2 resampled=0 skipped=0"
+
 
 class TestReplCommand:
     def test_single_query_matches_propagate(self):

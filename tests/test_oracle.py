@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bel_link_net,
@@ -12,21 +14,28 @@ from conftest import (
     prob_chain_net,
     prob_link_net,
     prob_pair_net,
+    rand_prob_cond1,
+    random_polytree,
 )
+from qcnet import links as lc
+from qcnet import oracle
 from qcnet.links import BelCond1, BelCond2Separate, PossCond1, ProbCond1
-from qcnet.network import BEL, Link, Network, POSS, PROB, Variable
+from qcnet.network import BEL, EvidenceError, Link, Network, POSS, PROB, Variable, propagate
 from qcnet.oracle import (
     DECREASE,
     INCREASE,
+    RESAMPLE_CAP,
+    ContainmentReport,
     OracleError,
     PerturbationSpec,
+    VariableCheck,
     check_containment,
     exact_belief,
     exact_possibility,
     exact_probability,
     sample_model,
 )
-from qcnet.signs import NEG, POS
+from qcnet.signs import NEG, POS, sign_of
 
 
 class TestSampleModel:
@@ -364,3 +373,252 @@ class TestContainmentSweeps:
             spec = PerturbationSpec(target, direction, trials=2, seed=i)
             report = check_containment(net, {target: sign}, spec)
             assert report.passed, (maker.__name__, i, report.to_table())
+
+
+def deep_chain(links: int) -> Network:
+    """A probability chain x0 -> x1 -> ... -> x<links>."""
+    rng = random.Random(links)
+    return Network(
+        [Variable(f"x{i}", PROB) for i in range(links + 1)],
+        [Link(f"x{i}", (f"x{i - 1}",), rand_prob_cond1(rng)) for i in range(1, links + 1)],
+    )
+
+
+@pytest.fixture(scope="module")
+def chain5000():
+    return deep_chain(5000)
+
+
+class TestDeepNetworks:
+    """Depth costs the oracle time linear in the links and no recursion."""
+
+    def test_containment_completes(self, chain5000):
+        # the chain's far end keeps its known false FAIL (the fixed
+        # perturbation shrinks below the sign tolerance), so only
+        # completion is asserted
+        spec = PerturbationSpec("x0", INCREASE, trials=2, seed=0)
+        report = check_containment(chain5000, {"x0": POS}, spec)
+        assert report.completed == report.trials == 2
+
+    def test_exact_probability_of_leaf(self, chain5000):
+        x, nx = exact_probability(sample_model(chain5000, 0), "x5000")
+        assert 0.0 <= x <= 1.0
+        assert x + nx == pytest.approx(1.0)
+
+    def test_link_evaluations_per_trial_are_linear(self, monkeypatch):
+        links = 200
+        net = deep_chain(links)
+        calls = []
+        real = oracle._link_value
+        monkeypatch.setattr(oracle, "_link_value", lambda table, values: calls.append(1) or real(table, values))
+        spec = PerturbationSpec("x0", INCREASE, trials=4, seed=0)
+        report = check_containment(net, {"x0": POS}, spec)
+        assert report.completed == 4
+        # one evaluation of the segment, one re-evaluation below the target
+        assert len(calls) <= 2 * links * report.completed
+
+
+# ---------------------------------------------------------------------------
+# reference: the oracle's definition, evaluated recursively and from
+# scratch for every variable
+# ---------------------------------------------------------------------------
+
+def ref_exact(model, name, memo):
+    if name in memo:
+        return memo[name]
+    net = model.network
+    var = net.variables[name]
+    link = net.link_of.get(name)
+    if link is None:
+        memo[name] = model.priors[name]
+        return memo[name]
+    for p in link.parents:
+        if net.variables[p].formalism is not var.formalism:
+            raise OracleError(f"cannot evaluate {name!r}: parent {p!r} lives in another formalism")
+    table = link.table
+    vals = [ref_exact(model, p, memo) for p in link.parents]
+
+    def pv(idx, pos):
+        return vals[idx][0 if pos else 1]
+
+    def masses(pair):
+        b, d = pair
+        return ((True, b), (False, d), (None, 1.0 - b - d))
+
+    if isinstance(table, ProbCond1):
+        p_c = pv(0, True) * table.get(True, True) + pv(0, False) * table.get(True, False)
+        value = (p_c, 1.0 - p_c)
+    elif isinstance(table, lc.ProbCond2):
+        p_d = sum(pv(0, bp) * pv(1, cp) * table.get(True, bp, cp) for bp in (True, False) for cp in (True, False))
+        value = (p_d, 1.0 - p_d)
+    elif isinstance(table, PossCond1):
+        value = tuple(max(min(table.get(cp, ap), pv(0, ap)) for ap in (True, False)) for cp in (True, False))
+    elif isinstance(table, lc.PossCond2):
+        value = tuple(
+            max(min(table.get(cp, bp, cpp), pv(0, bp), pv(1, cpp)) for bp in (True, False) for cpp in (True, False))
+            for cp in (True, False)
+        )
+    elif isinstance(table, BelCond1):
+        value = tuple(sum(m * table.get(cp, cell) for cell, m in masses(vals[0])) for cp in (True, False))
+    elif isinstance(table, lc.BelCond2Joint):
+        value = tuple(
+            sum(ma * mb * table.get(cp, ca, cb) for ca, ma in masses(vals[0]) for cb, mb in masses(vals[1]))
+            for cp in (True, False)
+        )
+    else:
+        raise OracleError(f"cannot evaluate {name!r}: per-parent belief tables have no trusted combination formula")
+    memo[name] = value
+    return value
+
+
+def ref_degenerate(model, link, tol):
+    table = link.table
+    margins = {
+        ProbCond1: lc.prob_link_margin,
+        lc.ProbCond2: lc.prob_pair_margin,
+        BelCond1: lc.bel_link_margin,
+        lc.BelCond2Joint: lc.bel_pair_joint_margin,
+    }
+    if type(table) in margins:
+        return margins[type(table)](table) < tol
+    if not isinstance(table, (PossCond1, lc.PossCond2)):
+        return False
+    try:
+        states = [lc.PossState(*ref_exact(model, p, {})) for p in link.parents]
+    except ValueError as exc:
+        raise OracleError(f"possibility state for link into {link.child!r} is unnormalized: {exc}") from exc
+    if isinstance(table, PossCond1):
+        return lc.poss_link_degenerate(table, states[0], tol)
+    return lc.poss_pair_degenerate(table, states[0], states[1], tol)
+
+
+def ref_check_containment(net, evidence, spec):
+    """Containment check re-evaluating every checked variable from scratch,
+    before and after the perturbation (the oracle's definition)."""
+    prediction = propagate(net, evidence).changes
+    form = net.variables[spec.target].formalism
+
+    def same_form(v):
+        link = net.link_of.get(v)
+        return net.variables[v].formalism is form and (link is None or all(same_form(p) for p in link.parents))
+
+    downstream = net.descendants(spec.target)
+    checked = sorted(v for v in downstream if same_form(v))
+    bridge = sorted(
+        l.child for l in net.links if l.child in downstream and l.child not in checked and any(p in checked for p in l.parents)
+    )
+    unchecked = sorted(downstream - set(checked) - set(bridge))
+    counts = {v: ([0, 0, 0], [0, 0, 0]) for v in checked}
+    failures = {v: 0 for v in checked + bridge}
+    completed = resampled = skipped = 0
+    for trial in range(spec.trials):
+        for attempt in range(RESAMPLE_CAP):
+            model = sample_model(net, (spec.seed * 1_000_003 + trial) * 1_000_003 + attempt)
+            moved = oracle._perturb(form, model.priors[spec.target], spec.direction, spec.epsilon)
+            if moved is None or any(ref_degenerate(model, net.link_of[v], 1e-9) for v in checked if v in net.link_of):
+                resampled += 1
+                continue
+            break
+        else:
+            skipped += 1
+            continue
+        after_model = model.with_prior(spec.target, moved)
+        observed = {}
+        for v in checked:
+            before, after = ref_exact(model, v, {}), ref_exact(after_model, v, {})
+            obs = observed[v] = tuple(sign_of(after[i] - before[i], spec.zero_tolerance) for i in (0, 1))
+            for i in (0, 1):
+                counts[v][i][{POS: 0, NEG: 2}.get(obs[i], 1)] += 1
+            if not (obs[0].issubset(prediction[v][0]) and obs[1].issubset(prediction[v][1])):
+                failures[v] += 1
+        for child in bridge:
+            for p in net.link_of[child].parents:
+                if p in observed and not all(
+                    observed[p][i].widened().issubset(prediction[p][i].widened()) for i in (0, 1)
+                ):
+                    failures[child] += 1
+        completed += 1
+    rows = [VariableCheck(v, "checked", prediction[v], *map(tuple, counts[v]), failures[v]) for v in checked]
+    rows += [VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), failures[v]) for v in bridge]
+    rows += [VariableCheck(v, "unchecked", prediction[v], (0, 0, 0), (0, 0, 0), 0) for v in unchecked]
+    rows.sort(key=lambda r: r.name)
+    return ContainmentReport(tuple(rows), spec.trials, completed, resampled, skipped)
+
+
+EXACT = {PROB: exact_probability, POSS: exact_possibility, BEL: exact_belief}
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (OracleError, EvidenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestMatchesRecursiveReference:
+    """Evaluating once in topological order changes no value, verdict or error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        formalisms=st.sampled_from([(PROB, POSS, BEL), (PROB,), (POSS,), (BEL,)]),
+        increase=st.booleans(),
+    )
+    def test_reports_and_exact_values(self, seed, n, formalisms, increase):
+        rng = random.Random(seed)
+        net = random_polytree(rng, n, formalisms)
+        target = rng.choice(sorted(v for v in net.variables if v not in net.link_of))
+        direction, sign = (INCREASE, POS) if increase else (DECREASE, NEG)
+        spec = PerturbationSpec(target, direction, trials=4, seed=seed % 1000)
+        got = outcome(check_containment, net, {target: sign}, spec)
+        want = outcome(ref_check_containment, net, {target: sign}, spec)
+        assert got == want
+        if isinstance(want, ContainmentReport):
+            assert got.to_table() == want.to_table()
+        model = sample_model(net, seed)
+        for v in sorted(net.variables):
+            exact = EXACT[net.variables[v].formalism]
+            assert outcome(exact, model, v) == outcome(ref_exact, model, v, {})
+
+    @pytest.mark.parametrize(
+        "links, name",
+        [
+            # b comes first in topological order, but the recursive
+            # definition starting from a stops at a first
+            ([("a", ("m", "r"), "sep"), ("m", ("t",), "one"), ("b", ("t", "q"), "sep")], "a"),
+            # a per-parent table behind another one is met on the way back up
+            ([("a", ("z", "r"), "sep"), ("z", ("t", "q"), "sep")], "z"),
+        ],
+    )
+    def test_per_parent_belief_tables_refused_at_the_same_variable(self, links, name):
+        net = self.belief_net(links, BelCond1(0.7, 0.1, 0.3, 0.1, 0.6, 0.3))
+        spec = PerturbationSpec("t", INCREASE, trials=2, seed=1)
+        message = f"cannot evaluate {name!r}: per-parent belief tables"
+        with pytest.raises(OracleError, match=message):
+            check_containment(net, {"t": POS}, spec)
+        with pytest.raises(OracleError, match=message):
+            ref_check_containment(net, {"t": POS}, spec)
+        with pytest.raises(OracleError, match=message):
+            exact_belief(sample_model(net, 0), "a")
+
+    def test_degenerate_segment_skips_before_refusing(self):
+        # a table at its decision boundary resamples every attempt, so no
+        # trial reaches the per-parent table that has no formula
+        links = [("m", ("t",), "one"), ("a", ("m", "r"), "sep")]
+        net = self.belief_net(links, BelCond1(bel_c_given_a=0.7, bel_c_given_frame=0.2))
+        spec = PerturbationSpec("t", INCREASE, trials=2, seed=1)
+        report = check_containment(net, {"t": POS}, spec)
+        assert report.skipped == 2
+        assert report == ref_check_containment(net, {"t": POS}, spec)
+
+    @staticmethod
+    def belief_net(links, one):
+        """Belief variables a, b, m, q, r, t, z; each link is (child, parents,
+        "one" for the table ``one`` or "sep" for it per parent)."""
+        tables = {"sep": BelCond2Separate(one, one), "one": one}
+        return Network(
+            [Variable(v, BEL) for v in ("a", "b", "m", "q", "r", "t", "z")],
+            [Link(child, parents, tables[kind]) for child, parents, kind in links],
+        )
