@@ -70,6 +70,8 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise NetworkError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise NetworkError(f"cannot read {path!r}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _load(path: str) -> Network:
@@ -161,13 +163,16 @@ def _cmd_verify(ns) -> tuple[int, str]:
             direction = DECREASE
         else:
             raise _UsageError(f"verify needs directional evidence (+ or -) for {name!r}")
-        spec = PerturbationSpec(
-            target=name,
-            direction=direction,
-            epsilon=ns.epsilon,
-            trials=ns.trials,
-            seed=ns.seed,
-        )
+        try:
+            spec = PerturbationSpec(
+                target=name,
+                direction=direction,
+                epsilon=ns.epsilon,
+                trials=ns.trials,
+                seed=ns.seed,
+            )
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
         report = check_containment(net, {name: (dx, dnx)}, spec)
         chunks.append(f"# target={name} direction={direction}\n" + report.to_table())
         all_pass = all_pass and report.passed

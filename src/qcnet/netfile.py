@@ -139,7 +139,13 @@ def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, s
 
 
 def parse_network(text: str) -> ParseResult:
-    """Parse network-file text. Total: collects diagnostics, never raises."""
+    """Parse network-file text. Total: collects diagnostics, never raises.
+
+    Linear in the text: duplicate link children are found in a set, and
+    each distinct outcome token is parsed once, its :class:`Outcome`
+    shared by every conditional that names it.  Only successful parses are
+    remembered, since a token naming a variable not yet declared becomes
+    valid once its ``node`` line arrives."""
     nodes: list[NodeDecl] = []
     priors: list[PriorDecl] = []
     links: list[LinkDecl] = []
@@ -147,15 +153,52 @@ def parse_network(text: str) -> ParseResult:
     diags: list[Diagnostic] = []
     known: dict[str, str] = {}
     prior_seen: set[str] = set()
+    linked: set[str] = set()
+    outcomes: dict[str, Outcome] = {}  # stripped token -> its parsed outcome
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
-        tokens = line.split()
-        head = tokens[0]
+        head = line.split(None, 1)[0]
 
-        if head == "node":
+        if head == "cond":
+            m = _COND_RE.match(line[len("cond"):].strip())
+            if m is None:
+                diags.append(Diagnostic(lineno, 1, "expected: cond OUTCOME | OUTCOMES = VALUE"))
+                continue
+            child_token, parents_text, value_text = m.groups()
+            child_out = outcomes.get(child_token)
+            if child_out is None:
+                child_out, err = _parse_outcome(child_token, known)
+                if err:
+                    diags.append(Diagnostic(lineno, _column(raw, child_token), err))
+                    continue
+                outcomes[child_token] = child_out
+            if child_out.kind == FRAME_OUT:
+                diags.append(Diagnostic(lineno, 1, "the conditioned outcome cannot be a frame"))
+                continue
+            parent_outs = []
+            for token in parents_text.split(","):
+                token = token.strip()
+                out = outcomes.get(token)
+                if out is None:
+                    out, err = _parse_outcome(token, known)
+                    if err:
+                        diags.append(Diagnostic(lineno, _column(raw, token), err))
+                        break
+                    outcomes[token] = out
+                parent_outs.append(out)
+            else:
+                try:
+                    value = float(value_text)
+                except ValueError:
+                    diags.append(Diagnostic(lineno, _column(raw, value_text), "conditional value must be a number"))
+                    continue
+                conds.append(CondDecl(child_out, tuple(parent_outs), value, lineno))
+
+        elif head == "node":
+            tokens = line.split()
             if len(tokens) != 3:
                 diags.append(Diagnostic(lineno, 1, "expected: node NAME prob|poss|bel"))
                 continue
@@ -173,6 +216,7 @@ def parse_network(text: str) -> ParseResult:
             nodes.append(NodeDecl(name, kind, lineno))
 
         elif head == "prior":
+            tokens = line.split()
             if len(tokens) != 4:
                 diags.append(Diagnostic(lineno, 1, "expected: prior NAME VALUE VALUE"))
                 continue
@@ -223,41 +267,11 @@ def parse_network(text: str) -> ParseResult:
             if separate and len(parents) != 2:
                 diags.append(Diagnostic(lineno, _column(raw, "separate"), "'separate' applies to two-parent links"))
                 continue
-            if any(l.child == child for l in links):
+            if child in linked:
                 diags.append(Diagnostic(lineno, _column(raw, child), f"variable {child!r} already has a link"))
                 continue
+            linked.add(child)
             links.append(LinkDecl(tuple(parents), child, separate, lineno))
-
-        elif head == "cond":
-            body = line[len("cond"):].strip()
-            m = _COND_RE.match(body)
-            if m is None:
-                diags.append(Diagnostic(lineno, 1, "expected: cond OUTCOME | OUTCOMES = VALUE"))
-                continue
-            child_out, err = _parse_outcome(m.group("child"), known)
-            if err:
-                diags.append(Diagnostic(lineno, _column(raw, m.group("child")), err))
-                continue
-            if child_out.kind == FRAME_OUT:
-                diags.append(Diagnostic(lineno, 1, "the conditioned outcome cannot be a frame"))
-                continue
-            parent_outs = []
-            bad = False
-            for token in m.group("parents").split(","):
-                out, err = _parse_outcome(token, known)
-                if err:
-                    diags.append(Diagnostic(lineno, _column(raw, token.strip()), err))
-                    bad = True
-                    break
-                parent_outs.append(out)
-            if bad:
-                continue
-            try:
-                value = float(m.group("value"))
-            except ValueError:
-                diags.append(Diagnostic(lineno, _column(raw, m.group("value")), "conditional value must be a number"))
-                continue
-            conds.append(CondDecl(child_out, tuple(parent_outs), value, lineno))
 
         else:
             diags.append(Diagnostic(lineno, 1, f"unknown directive {head!r}"))
@@ -267,7 +281,7 @@ def parse_network(text: str) -> ParseResult:
 
 
 def _fmt(value: float) -> str:
-    if value == int(value):
+    if float(value).is_integer():
         return str(int(value))
     return repr(value)
 
@@ -328,12 +342,7 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
     return Network(variables, links), ()
 
 
-def _cell_of(out: Outcome) -> lc.Cell:
-    if out.kind == POS_OUT:
-        return True
-    if out.kind == NEG_OUT:
-        return False
-    return None
+_CELL_OF: dict[str, lc.Cell] = {POS_OUT: True, NEG_OUT: False, FRAME_OUT: None}
 
 
 def _cond_key(decl: LinkDecl, c: CondDecl, frames_ok: bool, one_parent_per_cond: bool) -> tuple | str:
@@ -348,16 +357,17 @@ def _cond_key(decl: LinkDecl, c: CondDecl, frames_ok: bool, one_parent_per_cond:
         out = c.parents[0]
         if out.var not in decl.parents:
             return f"outcome of {out.var!r} does not name a parent of {decl.child!r}"
-        return (c.child.kind == POS_OUT, decl.parents.index(out.var), _cell_of(out))
+        return (c.child.kind == POS_OUT, decl.parents.index(out.var), _CELL_OF[out.kind])
     if len(c.parents) != len(decl.parents):
         return f"expected {len(decl.parents)} conditioning outcomes for {decl.child!r}"
+    key = [c.child.kind == POS_OUT]
     for out, expected in zip(c.parents, decl.parents):
         if out.var != expected:
             return f"conditioning outcomes must follow link parent order ({', '.join(decl.parents)})"
-    key = (c.child.kind == POS_OUT, *(_cell_of(o) for o in c.parents))
-    if not frames_ok and None in key[1:]:
+        key.append(_CELL_OF[out.kind])
+    if not frames_ok and None in key:
         return "frame outcomes are only meaningful for belief links"
-    return key
+    return tuple(key)
 
 
 def _collect_cells(
@@ -387,17 +397,22 @@ def _collect_cells(
     return cells if ok else None
 
 
-def _prob_value(cells: dict, key_pos: tuple, key_neg: tuple, decl: LinkDecl, diags: list[Diagnostic], label: str) -> float | None:
+def _prob_value(cells: dict, key_pos: tuple, key_neg: tuple, decl: LinkDecl, diags: list[Diagnostic]) -> float | None:
     has_pos, has_neg = key_pos in cells, key_neg in cells
     if has_pos and has_neg and abs(cells[key_pos] + cells[key_neg] - 1.0) > 1e-9:
-        diags.append(Diagnostic(decl.line, 1, f"probability conditionals {label} do not sum to 1"))
+        diags.append(Diagnostic(decl.line, 1, f"probability conditionals {_given(decl, key_pos)} do not sum to 1"))
         return None
     if has_pos:
         return cells[key_pos]
     if has_neg:
         return 1.0 - cells[key_neg]
-    diags.append(Diagnostic(decl.line, 1, f"missing probability conditional {label} for {decl.child!r}"))
+    diags.append(Diagnostic(decl.line, 1, f"missing probability conditional {_given(decl, key_pos)} for {decl.child!r}"))
     return None
+
+
+def _given(decl: LinkDecl, key: tuple) -> str:
+    """'given a, ~b' for the parent cells of a joint key."""
+    return "given " + ", ".join(f"{'' if pos else '~'}{p}" for pos, p in zip(key[1:], decl.parents))
 
 
 def _build_table(decl, formalisms, conds, diags):
@@ -411,18 +426,15 @@ def _build_table(decl, formalisms, conds, diags):
         if cells is None:
             return None
         if len(decl.parents) == 1:
-            values = [
-                _prob_value(cells, (True, pp), (False, pp), decl, diags, f"given {'' if pp else '~'}{decl.parents[0]}")
-                for pp in (True, False)
-            ]
+            values = [_prob_value(cells, (True, pp), (False, pp), decl, diags) for pp in (True, False)]
             if None in values:
                 return None
             return lc.ProbCond1(*values)
-        values = []
-        for bp in (True, False):
-            for cp in (True, False):
-                label = f"given {'' if bp else '~'}{decl.parents[0]}, {'' if cp else '~'}{decl.parents[1]}"
-                values.append(_prob_value(cells, (True, bp, cp), (False, bp, cp), decl, diags, label))
+        values = [
+            _prob_value(cells, (True, bp, cp), (False, bp, cp), decl, diags)
+            for bp in (True, False)
+            for cp in (True, False)
+        ]
         if None in values:
             return None
         return lc.ProbCond2(*values)

@@ -253,3 +253,26 @@ class TestModuleEntryPoints:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+class TestUnreadableInput:
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.qn"
+        path.write_bytes("node a prob\n# café\n".encode("latin-1"))
+        for command in ("validate", "explain", "propagate", "repl"):
+            status, out = run_command([command, str(path)], stdin=io.StringIO(""))
+            assert status == 1
+            assert out == f"error: cannot read {str(path)!r}: not UTF-8 text (byte 17)\n"
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--trials", "0", "trials must be positive"),
+            ("--trials", "-3", "trials must be positive"),
+            ("--epsilon", "0", "epsilon must be positive"),
+            ("--epsilon", "-0.001", "epsilon must be positive"),
+        ],
+    )
+    def test_verify_values_out_of_range(self, option, value, message):
+        status, out = run_command(["verify", MEDICAL, "--evidence", "s=+", option, value])
+        assert (status, out) == (2, f"usage error: {message}\n")
