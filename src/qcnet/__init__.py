@@ -6,154 +6,48 @@ quantified in probability theory, possibility theory or belief functions,
 bridges changes across formalisms under a monotonicity assumption, and
 verifies every qualitative prediction against a brute-force numeric
 oracle.
+
+The names here are the entry points the README documents; everything
+else is imported from its module (``qcnet.links``, ``qcnet.network``,
+``qcnet.oracle``, ``qcnet.netfile``, ``qcnet.signs``).
 """
 
-from .links import (
-    BelCond1,
-    BelCond2Joint,
-    BelCond2Separate,
-    IGNORANT,
-    PossCond1,
-    PossCond2,
-    PossState,
-    ProbCond1,
-    ProbCond2,
-    bel_link_derivative,
-    bel_pair_joint_derivative,
-    bel_pair_separate_derivative,
-    poss_link_derivative,
-    poss_pair_derivative,
-    prob_independent_pair_derivative,
-    prob_link_derivative,
-    prob_pair_derivative,
-)
-from .netfile import (
-    Diagnostic,
-    NetworkDocument,
-    ParseResult,
-    build_network,
-    load_network,
-    parse_network,
-    serialize_document,
-)
-from .network import (
-    BEL,
-    ChangeReport,
-    ChangeVector,
-    Contribution,
-    EvidenceError,
-    Formalism,
-    Link,
-    Network,
-    NetworkError,
-    POSS,
-    PROB,
-    ValidationReport,
-    Variable,
-    bridge_change,
-    complete_change,
-    explain,
-    link_matrix,
-    propagate,
-    validate,
-)
+from .links import ProbCond1
+from .netfile import build_network, load_network, parse_network
+from .network import PROB, Link, Network, NetworkError, Variable, explain, propagate, validate
 from .oracle import (
-    ContainmentReport,
     OracleError,
     PerturbationSpec,
-    QuantModel,
     check_containment,
     exact_belief,
     exact_possibility,
     exact_probability,
     sample_model,
 )
-from .signs import (
-    DOWN,
-    NEG,
-    NEG_ZERO,
-    POS,
-    POS_ZERO,
-    QMatrix,
-    QSign,
-    QVector,
-    UNKNOWN,
-    UP,
-    ZERO,
-    qadd,
-    qmatvec,
-    qmul,
-    sign_of,
-)
+from .signs import POS, QSign
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BEL",
-    "BelCond1",
-    "BelCond2Joint",
-    "BelCond2Separate",
-    "ChangeReport",
-    "ChangeVector",
-    "ContainmentReport",
-    "Contribution",
-    "DOWN",
-    "Diagnostic",
-    "EvidenceError",
-    "Formalism",
-    "IGNORANT",
     "Link",
-    "NEG",
-    "NEG_ZERO",
     "Network",
-    "NetworkDocument",
     "NetworkError",
     "OracleError",
     "POS",
-    "POSS",
-    "POS_ZERO",
-    "ParseResult",
-    "PerturbationSpec",
-    "PossCond1",
-    "PossCond2",
-    "PossState",
     "PROB",
+    "PerturbationSpec",
     "ProbCond1",
-    "ProbCond2",
-    "QMatrix",
     "QSign",
-    "QVector",
-    "QuantModel",
-    "UNKNOWN",
-    "UP",
-    "ValidationReport",
     "Variable",
-    "ZERO",
-    "bel_link_derivative",
-    "bel_pair_joint_derivative",
-    "bel_pair_separate_derivative",
-    "bridge_change",
     "build_network",
     "check_containment",
-    "complete_change",
     "exact_belief",
     "exact_possibility",
     "exact_probability",
     "explain",
-    "link_matrix",
     "load_network",
     "parse_network",
-    "poss_link_derivative",
-    "poss_pair_derivative",
-    "prob_independent_pair_derivative",
-    "prob_link_derivative",
-    "prob_pair_derivative",
     "propagate",
-    "qadd",
-    "qmatvec",
-    "qmul",
     "sample_model",
-    "serialize_document",
-    "sign_of",
     "validate",
 ]

@@ -9,6 +9,7 @@ on success, 1 on validation or propagation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import IO, Sequence
 
@@ -37,7 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = _Parser(prog="qcnet", description="qualitative change propagation over uncertainty networks")
     sub = parser.add_subparsers(dest="command", required=True)
 

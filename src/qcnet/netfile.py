@@ -157,7 +157,7 @@ def parse_network(text: str) -> ParseResult:
     outcomes: dict[str, Outcome] = {}  # stripped token -> its parsed outcome
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head = line.split(None, 1)[0]

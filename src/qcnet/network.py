@@ -9,16 +9,13 @@ boundary, and multiplies them through each link's derivative matrix.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from . import links as lc
+from .links import BEL, IGNORANT, POSS, PROB, ConditionalTable, Formalism, PossState
 from .signs import (
-    DOWN,
-    NEG,
     NEG_ZERO,
     POS,
     POS_ZERO,
@@ -26,12 +23,10 @@ from .signs import (
     QSign,
     QVector,
     UNKNOWN,
-    UP,
     ZERO,
     qadd,
     qmatvec_terms,
     qsum,
-    sign_of,
 )
 
 
@@ -41,49 +36,6 @@ class NetworkError(Exception):
 
 class EvidenceError(NetworkError):
     """Raised for evidence that is inconsistent with a variable's state."""
-
-
-class Formalism(enum.Enum):
-    PROBABILITY = "prob"
-    POSSIBILITY = "poss"
-    BELIEF = "bel"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-PROB = Formalism.PROBABILITY
-POSS = Formalism.POSSIBILITY
-BEL = Formalism.BELIEF
-
-_TABLE_FORMALISM = {
-    lc.ProbCond1: PROB,
-    lc.ProbCond2: PROB,
-    lc.PossCond1: POSS,
-    lc.PossCond2: POSS,
-    lc.BelCond1: BEL,
-    lc.BelCond2Joint: BEL,
-    lc.BelCond2Separate: BEL,
-}
-_TABLE_ARITY = {
-    lc.ProbCond1: 1,
-    lc.ProbCond2: 2,
-    lc.PossCond1: 1,
-    lc.PossCond2: 2,
-    lc.BelCond1: 1,
-    lc.BelCond2Joint: 2,
-    lc.BelCond2Separate: 2,
-}
-
-ConditionalTable = (
-    lc.ProbCond1
-    | lc.ProbCond2
-    | lc.PossCond1
-    | lc.PossCond2
-    | lc.BelCond1
-    | lc.BelCond2Joint
-    | lc.BelCond2Separate
-)
 
 
 @dataclass(frozen=True)
@@ -125,11 +77,11 @@ class Link:
 
     @property
     def formalism(self) -> Formalism:
-        return _TABLE_FORMALISM[type(self.table)]
+        return self.table.formalism
 
     @property
     def arity(self) -> int:
-        return _TABLE_ARITY[type(self.table)]
+        return self.table.arity
 
 
 @dataclass(frozen=True)
@@ -227,7 +179,8 @@ def _compile(net: Network) -> CompiledNetwork:
         if link is None:
             steps.append(_Step(name, (), (), None))
             continue
-        matrices[name] = matrix = link_matrix(net, link)
+        states = [_parent_poss_state(net, p) for p in link.parents] if link.table.state_dependent else ()
+        matrices[name] = matrix = link.table.derivative(*states)
         form = net.variables[name].formalism
         bridged = tuple(net.variables[p].formalism is not form for p in link.parents)
         steps.append(_Step(name, link.parents, bridged, matrix))
@@ -289,10 +242,9 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
             errors.append(
                 f"link {_link_label(link)} carries a {link.formalism} table but {link.child!r} is {child.formalism}"
             )
-        table = link.table
-        if isinstance(table, (lc.PossCond1, lc.PossCond2)):
-            for w in table.normalization_warnings():
-                warnings.append(f"link {_link_label(link)}: {w}")
+        for w in link.table.warnings():
+            warnings.append(f"link {_link_label(link)}: {w}")
+        if link.table.state_dependent:
             for p in link.parents:
                 pv = net.variables.get(p)
                 if pv is not None and pv.formalism is POSS and pv.prior is None:
@@ -524,41 +476,15 @@ class ChangeReport:
         return roots
 
 
-def _parent_poss_state(net: Network, parent_name: str) -> lc.PossState:
+def _parent_poss_state(net: Network, parent_name: str) -> PossState:
+    """A parent's possibility state; validation ensures that a possibility
+    parent of a state-dependent link has a prior."""
     var = net.variables[parent_name]
     if var.formalism is POSS:
-        if var.prior is None:
-            raise NetworkError(
-                f"possibility variable {parent_name!r} needs a prior to evaluate its outgoing link"
-            )
-        return lc.PossState(*var.prior)
+        return PossState(*var.prior)
     # Cross-formalism parent: its possibility is unconstrained, which is
     # total ignorance on both outcomes.
-    return lc.IGNORANT
-
-
-def link_matrix(net: Network, link: Link) -> QMatrix:
-    """Derivative matrix of one link, evaluated at the pre-evidence state."""
-    table = link.table
-    if isinstance(table, lc.ProbCond1):
-        return lc.prob_link_derivative(table)
-    if isinstance(table, lc.ProbCond2):
-        return lc.prob_pair_derivative(table)
-    if isinstance(table, lc.PossCond1):
-        return lc.poss_link_derivative(table, _parent_poss_state(net, link.parents[0]))
-    if isinstance(table, lc.PossCond2):
-        return lc.poss_pair_derivative(
-            table,
-            _parent_poss_state(net, link.parents[0]),
-            _parent_poss_state(net, link.parents[1]),
-        )
-    if isinstance(table, lc.BelCond1):
-        return lc.bel_link_derivative(table)
-    if isinstance(table, lc.BelCond2Joint):
-        return lc.bel_pair_joint_derivative(table)
-    if isinstance(table, lc.BelCond2Separate):
-        return lc.bel_pair_separate_derivative(table)
-    raise NetworkError(f"unknown table type {type(table).__name__}")
+    return IGNORANT
 
 
 def _require_valid(net: Network) -> CompiledNetwork:
@@ -645,42 +571,5 @@ def explain(net: Network) -> tuple[LinkExplanation, ...]:
     out = []
     for link in sorted(net.links, key=lambda l: l.child):
         matrix = matrices[link.child]
-        out.append(LinkExplanation(link.child, link.parents, matrix, _cases_for(link, matrix)))
+        out.append(LinkExplanation(link.child, link.parents, matrix, link.table.cases(matrix)))
     return tuple(out)
-
-
-_TRICHOTOMY = {POS: "follows", NEG: "varies-inversely", ZERO: "independent"}
-_POSS_CASES = {
-    POS: "follows",
-    ZERO: "independent",
-    UP: "may-follow-up",
-    DOWN: "may-follow-down",
-}
-
-
-def _cases_for(link: Link, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-    table = link.table
-    rows = []
-    for i, row in enumerate(matrix.rows):
-        child_pos = i == 0
-        labels = []
-        for j, entry in enumerate(row):
-            if isinstance(table, (lc.ProbCond1, lc.BelCond1)):
-                labels.append(_TRICHOTOMY[entry])
-            elif isinstance(table, (lc.PossCond1, lc.PossCond2)):
-                labels.append(_POSS_CASES[entry])
-            elif isinstance(table, lc.ProbCond2):
-                synergy, offset = lc._pair_terms(table.get, True, j < 2, j % 2 == 0)
-                s_syn, s_off = sign_of(synergy), sign_of(offset)
-                if not child_pos:  # complementing the child flips both terms
-                    s_syn, s_off = s_syn.negated(), s_off.negated()
-                labels.append(f"synergy={s_syn} offset={s_off}")
-            elif isinstance(table, lc.BelCond2Joint):
-                diffs = lc._bel_pair_diffs(table, child_pos, j < 2, j % 2 == 0)
-                labels.append("terms=" + ",".join(str(sign_of(d)) for d in diffs))
-            elif isinstance(table, lc.BelCond2Separate):
-                labels.append("weak-follows" if entry == POS else "indeterminate")
-            else:
-                labels.append("")
-        rows.append(tuple(labels))
-    return tuple(rows)

@@ -14,11 +14,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from . import links as lc
+from .links import PossState
 from .network import (
     BEL,
     Change,
-    ConditionalTable,
     Evidence,
     Formalism,
     Link,
@@ -99,72 +98,6 @@ def sample_model(net: Network, seed: int) -> QuantModel:
 # exact evaluation in topological order
 # ---------------------------------------------------------------------------
 
-def _link_value(table: ConditionalTable, parent_values: list[tuple[float, float]]) -> tuple[float, float]:
-    """Exact (x, ~x) of a link's child from its parents' exact values:
-    total probability, sup-min, or mass-weighted sums.  Longer sums than
-    two terms use ``sum``, in a fixed order: from Python 3.12 ``sum``
-    rounds differently from chained ``+``."""
-    if isinstance(table, lc.ProbCond1):
-        a, na = parent_values[0]
-        p_c = a * table.p_c_given_a + na * table.p_c_given_na
-        return p_c, 1.0 - p_c
-    if isinstance(table, lc.ProbCond2):
-        (b, nb), (c, nc) = parent_values
-        p_d = sum((
-            b * c * table.p_d_given_bc,
-            b * nc * table.p_d_given_b_nc,
-            nb * c * table.p_d_given_nb_c,
-            nb * nc * table.p_d_given_nb_nc,
-        ))
-        return p_d, 1.0 - p_d
-    if isinstance(table, lc.PossCond1):
-        a, na = parent_values[0]
-        return (
-            max(min(table.pi_c_given_a, a), min(table.pi_c_given_na, na)),
-            max(min(table.pi_nc_given_a, a), min(table.pi_nc_given_na, na)),
-        )
-    if isinstance(table, lc.PossCond2):
-        (b, nb), (c, nc) = parent_values
-        return (
-            max(
-                min(table.pi_d_given_bc, b, c),
-                min(table.pi_d_given_b_nc, b, nc),
-                min(table.pi_d_given_nb_c, nb, c),
-                min(table.pi_d_given_nb_nc, nb, nc),
-            ),
-            max(
-                min(table.pi_nd_given_bc, b, c),
-                min(table.pi_nd_given_b_nc, b, nc),
-                min(table.pi_nd_given_nb_c, nb, c),
-                min(table.pi_nd_given_nb_nc, nb, nc),
-            ),
-        )
-    if isinstance(table, lc.BelCond1):
-        # masses on the outcome, its complement and the frame
-        a, na = parent_values[0]
-        frame = 1.0 - a - na
-        return (
-            sum((a * table.bel_c_given_a, na * table.bel_c_given_na, frame * table.bel_c_given_frame)),
-            sum((a * table.bel_nc_given_a, na * table.bel_nc_given_na, frame * table.bel_nc_given_frame)),
-        )
-    if isinstance(table, lc.BelCond2Joint):
-        # joint masses in the table's cell order: first parent's cell major
-        m1 = _masses(parent_values[0])
-        m2 = _masses(parent_values[1])
-        joint = [ma * mb for ma in m1 for mb in m2]
-        cells = table.cells
-        return (
-            sum([m * cells[k] for k, m in enumerate(joint)]),
-            sum([m * cells[k + 9] for k, m in enumerate(joint)]),
-        )
-    raise OracleError(f"no exact formula for {type(table).__name__} tables")
-
-
-def _masses(pair: tuple[float, float]) -> tuple[float, float, float]:
-    b, d = pair
-    return b, d, 1.0 - b - d
-
-
 def _evaluate(
     model: QuantModel, names: Iterable[str], values: dict[str, tuple[float, float]]
 ) -> dict[str, tuple[float, float]]:
@@ -178,7 +111,7 @@ def _evaluate(
         if link is None:
             values[name] = priors[name]
         else:
-            values[name] = _link_value(link.table, [values[p] for p in link.parents])
+            values[name] = link.table.evaluate([values[p] for p in link.parents])
     return values
 
 
@@ -189,8 +122,8 @@ def _ancestry(net: Network, names: Iterable[str]) -> tuple[list[str], str | None
     The walk is depth first from each name in turn, parents in link order,
     the order in which the recursive definition evaluates them, so the
     reason names the variable that definition stops at: a parent in
-    another formalism is met on the way down, a per-parent belief table on
-    the way back up.
+    another formalism is met on the way down, a table without an exact
+    formula on the way back up.
     """
     seen: set[str] = set()
     for name in names:
@@ -199,8 +132,8 @@ def _ancestry(net: Network, names: Iterable[str]) -> tuple[list[str], str | None
             v, back = stack.pop()
             link = net.link_of.get(v)
             if back:
-                if isinstance(link.table, lc.BelCond2Separate):
-                    return [], f"cannot evaluate {v!r}: per-parent belief tables have no trusted combination formula"
+                if link.table.no_formula is not None:
+                    return [], f"cannot evaluate {v!r}: {link.table.no_formula}"
                 continue
             if v in seen:
                 continue
@@ -348,29 +281,11 @@ def _perturb(
     return x - eps, nx
 
 
-def _table_degenerate(table: ConditionalTable, tol: float) -> bool:
-    """Whether a probability or belief table sits within ``tol`` of a
-    decision boundary; these margins do not depend on the sampled priors."""
-    if isinstance(table, lc.ProbCond1):
-        return lc.prob_link_margin(table) < tol
-    if isinstance(table, lc.ProbCond2):
-        return lc.prob_pair_margin(table) < tol
-    if isinstance(table, lc.BelCond1):
-        return lc.bel_link_margin(table) < tol
-    if isinstance(table, lc.BelCond2Joint):
-        return lc.bel_pair_joint_margin(table) < tol
-    return False
-
-
 def _state_degenerate(link: Link, values: Mapping[str, tuple[float, float]], tol: float) -> bool:
-    """Whether a possibility link sits within ``tol`` of a decision boundary
-    at its parents' values."""
-    table = link.table
+    """Whether a state-dependent link sits within ``tol`` of a decision
+    boundary at its parents' values."""
     try:
-        states = [lc.PossState(*values[p]) for p in link.parents]
-        if isinstance(table, lc.PossCond1):
-            return lc.poss_link_degenerate(table, states[0], tol)
-        return lc.poss_pair_degenerate(table, states[0], states[1], tol)
+        return link.table.degenerate(*[PossState(*values[p]) for p in link.parents], tol=tol)
     except ValueError as exc:
         # an unnormalized upstream table can denormalize a computed state
         raise OracleError(f"possibility state for link into {link.child!r} is unnormalized: {exc}") from exc
@@ -426,12 +341,13 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     # evaluated; the perturbation changes only the checked variables below
     # the target, all of them non-roots.  Probability and belief margins
     # depend on the tables alone, so they are computed once per check;
-    # possibility links are degenerate or not at each sampled state.
+    # state-dependent (possibility) links are degenerate or not at each
+    # sampled state.
     segment, refusal = _ancestry(net, checked)
     below = [v for v in segment if v in checked_set and v != spec.target]
     segment_links = [net.link_of[v] for v in checked if v != spec.target]
-    table_degenerate = any(_table_degenerate(link.table, _DEGENERATE_TOL) for link in segment_links)
-    poss_links = [link for link in segment_links if isinstance(link.table, (lc.PossCond1, lc.PossCond2))]
+    table_degenerate = any(link.table.margin() < _DEGENERATE_TOL for link in segment_links)
+    state_links = [link for link in segment_links if link.table.state_dependent]
 
     pos_counts = {v: [0, 0, 0] for v in checked}
     neg_counts = {v: [0, 0, 0] for v in checked}
@@ -450,7 +366,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
             if refusal is not None:  # only a trial that evaluates needs a formula
                 raise OracleError(refusal)
             base = _evaluate(model, segment, {})
-            if any(_state_degenerate(link, base, _DEGENERATE_TOL) for link in poss_links):
+            if any(_state_degenerate(link, base, _DEGENERATE_TOL) for link in state_links):
                 resampled += 1
                 continue
             break

@@ -19,10 +19,6 @@ from qcnet.links import (
     PossCond2,
     ProbCond1,
     ProbCond2,
-    bel_link_margin,
-    bel_pair_joint_margin,
-    prob_link_margin,
-    prob_pair_margin,
 )
 from qcnet.network import BEL, Formalism, Link, Network, POSS, PROB, Variable
 
@@ -52,14 +48,14 @@ def medical_net(medical_text):
 def rand_prob_cond1(rng: random.Random, margin: float = MARGIN) -> ProbCond1:
     while True:
         t = ProbCond1(rng.random(), rng.random())
-        if prob_link_margin(t) >= margin:
+        if t.margin() >= margin:
             return t
 
 
 def rand_prob_cond2(rng: random.Random, margin: float = MARGIN) -> ProbCond2:
     while True:
         t = ProbCond2(rng.random(), rng.random(), rng.random(), rng.random())
-        if prob_pair_margin(t) >= margin:
+        if t.margin() >= margin:
             return t
 
 
@@ -72,7 +68,7 @@ def rand_bel_cond1(rng: random.Random, margin: float = MARGIN) -> BelCond1:
     while True:
         pos, neg = zip(*(_rand_bel_pair(rng) for _ in range(3)))
         t = BelCond1(pos[0], pos[1], pos[2], neg[0], neg[1], neg[2])
-        if bel_link_margin(t) >= margin:
+        if t.margin() >= margin:
             return t
 
 
@@ -86,7 +82,7 @@ def rand_bel_cond2(rng: random.Random, margin: float = MARGIN) -> BelCond2Joint:
                 values[(True, ca, cb)] = pos
                 values[(False, ca, cb)] = neg
         t = BelCond2Joint.from_values(values)
-        if bel_pair_joint_margin(t) >= margin:
+        if t.margin() >= margin:
             return t
 
 
@@ -152,14 +148,14 @@ def bel_pair_net(rng: random.Random) -> Network:
 
 
 def poss_link_net(rng: random.Random) -> Network:
-    from qcnet.links import PossState, poss_link_degenerate
+    from qcnet.links import PossState
 
     while True:
         prior = rand_poss_prior(rng)
         cond = rand_poss_cond1(rng)
         # declared states cannot be resampled by the oracle, so reject
         # boundary states at generation time
-        if not poss_link_degenerate(cond, PossState(*prior)):
+        if not cond.degenerate(PossState(*prior)):
             return Network(
                 [Variable("a", POSS, prior), Variable("c", POSS)],
                 [Link("c", ("a",), cond)],
@@ -167,12 +163,12 @@ def poss_link_net(rng: random.Random) -> Network:
 
 
 def poss_pair_net(rng: random.Random) -> Network:
-    from qcnet.links import PossState, poss_pair_degenerate
+    from qcnet.links import PossState
 
     while True:
         prior_b, prior_c = rand_poss_prior(rng), rand_poss_prior(rng)
         cond = rand_poss_cond2(rng)
-        if not poss_pair_degenerate(cond, PossState(*prior_b), PossState(*prior_c)):
+        if not cond.degenerate(PossState(*prior_b), PossState(*prior_c)):
             return Network(
                 [
                     Variable("b", POSS, prior_b),

@@ -20,7 +20,7 @@ from conftest import (
     random_polytree,
 )
 from qcnet.cli import run_command
-from qcnet.network import POSS, Variable, complete_change, link_matrix, propagate
+from qcnet.network import POSS, Variable, complete_change, propagate
 from qcnet.oracle import DECREASE, INCREASE, PerturbationSpec, check_containment
 from qcnet.signs import (
     DOWN,
@@ -158,7 +158,7 @@ def _containment_sweep(maker, target: str, count: int, seed_base: int) -> int:
         assert report.completed == 1
         link = next(l for l in net.links if target in l.parents)
         cols = [2 * link.parents.index(target), 2 * link.parents.index(target) + 1]
-        matrix = link_matrix(net, link)
+        matrix = net.compiled.matrices[link.child]
         if any(matrix[r][c] in (UP, DOWN) for r in range(matrix.shape[0]) for c in cols):
             markers_seen += 1
     return markers_seen

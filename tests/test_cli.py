@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SAMPLES
+from qcnet import cli
 from qcnet.cli import run_command
 
 MEDICAL = str(SAMPLES / "medical.qn")
@@ -276,3 +278,38 @@ class TestUnreadableInput:
     def test_verify_values_out_of_range(self, option, value, message):
         status, out = run_command(["verify", MEDICAL, "--evidence", "s=+", option, value])
         assert (status, out) == (2, f"usage error: {message}\n")
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["verify", MEDICAL, "--evidence", "s=+", "--trials", "5", "--seed", "3", "--epsilon", "0.01"],
+        ["propagate", MEDICAL, "--evidence", "s=+"],
+        ["verify", MEDICAL],
+        ["propagate", MEDICAL],
+        ["repl", MEDICAL],
+        ["validate", MEDICAL, "--evidence", "s=+"],
+        ["verify", MEDICAL, "--evidence", "s=-"],
+        ["validate", MEDICAL],
+        ["frobnicate"],
+    ]
+
+    def test_parser_is_built_once(self):
+        run_command(["validate", MEDICAL])
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_matches_fresh_parsers(self):
+        parser = cli._build_parser()
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            fresh = cli._build_parser.__wrapped__()
+            try:
+                expected = vars(fresh.parse_args(argv))
+            except cli._UsageError as exc:
+                with pytest.raises(cli._UsageError, match=re.escape(str(exc))):
+                    parser.parse_args(argv)
+            else:
+                assert vars(parser.parse_args(argv)) == expected
+
+    def test_defaults_survive_earlier_options(self):
+        assert run_command(["propagate", MEDICAL, "--evidence", "s=+"]) == (0, EXPECTED_PROPAGATE)
+        status, out = run_command(["propagate", MEDICAL])
+        assert status == 0 and all(row.endswith("\t0\t0") for row in out.splitlines()[1:])

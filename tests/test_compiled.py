@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qcnet.network as network_module
 from conftest import random_polytree
 from qcnet.cli import run_command
-from qcnet.links import ProbCond1
+from qcnet.links import IGNORANT, ProbCond1
 from qcnet.network import (
     PROB,
     Link,
@@ -19,7 +18,6 @@ from qcnet.network import (
     bridge_change,
     complete_change,
     explain,
-    link_matrix,
     propagate,
     validate,
 )
@@ -73,8 +71,11 @@ class TestCompileOnce:
     def test_later_queries_evaluate_no_link(self, monkeypatch):
         net = random_polytree(random.Random(5), 30)
         calls = []
-        real = network_module.link_matrix
-        monkeypatch.setattr(network_module, "link_matrix", lambda n, l: calls.append(l) or real(n, l))
+        for table_type in {type(link.table) for link in net.links}:
+            real = table_type.derivative
+            monkeypatch.setattr(
+                table_type, "derivative", lambda table, *states, real=real: calls.append(table) or real(table, *states)
+            )
         first = propagate(net, {"v0": POS})
         assert len(calls) == len(net.links)
         second = propagate(net, {"v0": POS})
@@ -85,7 +86,9 @@ class TestCompileOnce:
 
     def test_compiled_matrices_match_link_matrix(self, medical_net):
         for link in medical_net.links:
-            assert medical_net.compiled.matrices[link.child] == link_matrix(medical_net, link)
+            # the one possibility link has a probability parent: total ignorance
+            states = [IGNORANT] * len(link.parents) if link.table.state_dependent else ()
+            assert medical_net.compiled.matrices[link.child] == link.table.derivative(*states)
 
     def test_invalid_network_raises_on_every_query(self):
         net = cyclic_net()

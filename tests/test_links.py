@@ -24,14 +24,6 @@ from qcnet.links import (
     PossState,
     ProbCond1,
     ProbCond2,
-    bel_link_derivative,
-    bel_pair_joint_derivative,
-    bel_pair_separate_derivative,
-    poss_link_derivative,
-    poss_pair_derivative,
-    prob_independent_pair_derivative,
-    prob_link_derivative,
-    prob_pair_derivative,
 )
 from qcnet.signs import DOWN, NEG, POS, UNKNOWN, UP, ZERO, sign_of
 
@@ -68,28 +60,28 @@ def mass_sum(cond: BelCond1, bel_a: float, bel_na: float) -> float:
 
 class TestProbLink:
     def test_knee_table_follows(self):
-        m = prob_link_derivative(ProbCond1(0.6, 0.2))
+        m = ProbCond1(0.6, 0.2).derivative()
         assert m[0][0] == POS
 
     def test_vasculitis_table_inverse(self):
-        m = prob_link_derivative(ProbCond1(0.1, 0.3))
+        m = ProbCond1(0.1, 0.3).derivative()
         assert m[0][0] == NEG
         assert m[0][1] == POS
 
     def test_equal_conditionals_independent(self):
-        m = prob_link_derivative(ProbCond1(0.5, 0.5))
+        m = ProbCond1(0.5, 0.5).derivative()
         assert all(e == ZERO for row in m.rows for e in row)
 
     @given(unit, unit)
     def test_antisymmetry(self, pa, pna):
-        m = prob_link_derivative(ProbCond1(pa, pna))
+        m = ProbCond1(pa, pna).derivative()
         assert m[0][1] == m[0][0].negated()
         assert m[1][0] == m[0][0].negated()
         assert m[1][1] == m[0][0]
 
     @given(unit, unit)
     def test_trichotomy_total(self, pa, pna):
-        m = prob_link_derivative(ProbCond1(pa, pna))
+        m = ProbCond1(pa, pna).derivative()
         assert m[0][0] in (POS, ZERO, NEG)
 
     def test_finite_difference_containment(self):
@@ -97,7 +89,7 @@ class TestProbLink:
         for _ in range(300):
             cond = rand_prob_cond1(rng)
             p_a = rng.uniform(EPS, 1 - EPS)
-            m = prob_link_derivative(cond)
+            m = cond.derivative()
             observed = sign_of(total_probability(cond, p_a + EPS) - total_probability(cond, p_a), TOL)
             assert observed.issubset(m[0][0])
 
@@ -111,12 +103,12 @@ class TestProbLink:
 class TestPossLink:
     def test_ignorant_state_all_independent(self):
         cond = PossCond1(1.0, 1.0, 0.1, 0.1)
-        m = poss_link_derivative(cond, IGNORANT)
+        m = cond.derivative(IGNORANT)
         assert all(e == ZERO for row in m.rows for e in row)
 
     def test_dominant_with_headroom_follows(self):
         cond = PossCond1(0.8, 0.3, 1.0, 1.0)
-        m = poss_link_derivative(cond, PossState(0.5, 1.0))
+        m = cond.derivative(PossState(0.5, 1.0))
         assert m[0][0] == POS
         # sup-min confirmation, both directions
         up = sup_min1(cond, True, 0.5 + EPS, 1.0) - sup_min1(cond, True, 0.5, 1.0)
@@ -125,7 +117,7 @@ class TestPossLink:
 
     def test_dominant_without_headroom_may_follow_down(self):
         cond = PossCond1(0.8, 0.3, 1.0, 1.0)
-        m = poss_link_derivative(cond, PossState(1.0, 0.2))
+        m = cond.derivative(PossState(1.0, 0.2))
         assert m[0][0] == DOWN
         # only decreases large enough to cross the conditional propagate
         dn = sup_min1(cond, True, 1.0 - 0.5, 0.2) - sup_min1(cond, True, 1.0, 0.2)
@@ -135,7 +127,7 @@ class TestPossLink:
 
     def test_non_dominant_with_headroom_may_follow_up(self):
         cond = PossCond1(0.8, 0.6, 1.0, 1.0)
-        m = poss_link_derivative(cond, PossState(0.5, 1.0))
+        m = cond.derivative(PossState(0.5, 1.0))
         assert m[0][0] == UP
         # small decreases never get through: the other branch pins the sup
         dn = sup_min1(cond, True, 0.5 - EPS, 1.0) - sup_min1(cond, True, 0.5, 1.0)
@@ -154,7 +146,7 @@ class TestPossLink:
             cond = rand_poss_cond1(rng)
             u = rng.random()
             state = PossState(1.0, u) if rng.random() < 0.5 else PossState(u, 1.0)
-            m = poss_link_derivative(cond, state)
+            m = cond.derivative(state)
             for row in m.rows:
                 for e in row:
                     assert e in (POS, ZERO, UP, DOWN)
@@ -165,7 +157,7 @@ class TestPossLink:
 class TestBelLink:
     def test_follows(self):
         cond = BelCond1(bel_c_given_a=0.9, bel_c_given_frame=0.3)
-        m = bel_link_derivative(cond)
+        m = cond.derivative()
         assert m[0][0] == POS
         # mass-sum oracle, finite difference in bel(a)
         base = mass_sum(cond, 0.4, 0.3)
@@ -174,11 +166,11 @@ class TestBelLink:
 
     def test_equality_independent(self):
         cond = BelCond1(bel_c_given_a=0.3, bel_c_given_frame=0.3)
-        assert bel_link_derivative(cond)[0][0] == ZERO
+        assert cond.derivative()[0][0] == ZERO
 
     def test_varies_inversely(self):
         cond = BelCond1(bel_c_given_a=0.2, bel_c_given_frame=0.5)
-        m = bel_link_derivative(cond)
+        m = cond.derivative()
         assert m[0][0] == NEG
         base = mass_sum(cond, 0.4, 0.3)
         bumped = mass_sum(cond, 0.4 + EPS, 0.3)
@@ -190,7 +182,7 @@ class TestBelLink:
             cond = rand_bel_cond1(rng)
             bel_a = rng.uniform(0.1, 0.4)
             bel_na = rng.uniform(0.1, 0.4)
-            m = bel_link_derivative(cond)
+            m = cond.derivative()
             diff = mass_sum(cond, bel_a + EPS, bel_na) - mass_sum(cond, bel_a, bel_na)
             assert sign_of(diff, TOL).issubset(m[0][0])
 
@@ -206,18 +198,18 @@ ARTHRITIS = ProbCond2(0.9, 0.6, 0.6, 0.4)  # p(a|d,s), p(a|d,~s), p(a|~d,s), p(a
 
 class TestProbPair:
     def test_arthritis_follows_second_parent(self):
-        m = prob_pair_derivative(ARTHRITIS)
+        m = ARTHRITIS.derivative()
         # columns are b, ~b, c, ~c; the second parent's columns are 2 and 3
         assert m[0][2] == POS
         assert m[0][3] == NEG
 
     def test_arthritis_first_parent(self):
-        m = prob_pair_derivative(ARTHRITIS)
+        m = ARTHRITIS.derivative()
         assert m[0][0] == POS
         assert m[0][1] == NEG
 
     def test_flat_table_all_independent(self):
-        m = prob_pair_derivative(ProbCond2(0.4, 0.4, 0.4, 0.4))
+        m = ProbCond2(0.4, 0.4, 0.4, 0.4).derivative()
         assert all(e == ZERO for row in m.rows for e in row)
 
     def test_finite_difference_containment(self):
@@ -226,7 +218,7 @@ class TestProbPair:
             cond = rand_prob_cond2(rng)
             p_b = rng.uniform(EPS, 1 - EPS)
             p_c = rng.uniform(EPS, 1 - EPS)
-            m = prob_pair_derivative(cond)
+            m = cond.derivative()
             diff_b = pair_probability(cond, p_b + EPS, p_c) - pair_probability(cond, p_b, p_c)
             diff_c = pair_probability(cond, p_b, p_c + EPS) - pair_probability(cond, p_b, p_c)
             assert sign_of(diff_b, TOL).issubset(m[0][0])
@@ -239,38 +231,11 @@ class TestProbPair:
             swapped = ProbCond2(
                 cond.p_d_given_bc, cond.p_d_given_nb_c, cond.p_d_given_b_nc, cond.p_d_given_nb_nc
             )
-            m = prob_pair_derivative(cond)
-            ms = prob_pair_derivative(swapped)
+            m = cond.derivative()
+            ms = swapped.derivative()
             for i in range(2):
                 assert ms[i][0] == m[i][2] and ms[i][1] == m[i][3]
                 assert ms[i][2] == m[i][0] and ms[i][3] == m[i][1]
-
-
-class TestProbIndependentPair:
-    def test_side_by_side(self):
-        cb = ProbCond1(0.8, 0.2)
-        cc = ProbCond1(0.7, 0.1)
-        m = prob_independent_pair_derivative(cb, cc)
-        assert m[0][0] == POS and m[0][2] == POS
-
-    def test_flat_first_parent(self):
-        m = prob_independent_pair_derivative(ProbCond1(0.5, 0.5), ProbCond1(0.7, 0.1))
-        assert m[0][0] == ZERO and m[0][1] == ZERO
-
-    def test_matches_factored_model(self):
-        rng = random.Random(29)
-        for _ in range(200):
-            cb = rand_prob_cond1(rng)
-            cc = rand_prob_cond1(rng)
-            m = prob_independent_pair_derivative(cb, cc)
-            # independent combination: noisy sum of the two marginal effects
-            p_b = rng.uniform(EPS, 1 - EPS)
-
-            def combined(pb):
-                return 0.5 * total_probability(cb, pb) + 0.5 * total_probability(cc, 0.3)
-
-            diff = combined(p_b + EPS) - combined(p_b)
-            assert sign_of(diff, TOL).issubset(m[0][0])
 
 
 # -- possibility, two parents ------------------------------------------------
@@ -290,12 +255,12 @@ def sup_min2(cond: PossCond2, child_pos: bool, sx: tuple, sy: tuple) -> float:
 class TestPossPair:
     def test_saturated_states_all_independent(self):
         cond = PossCond2(1, 1, 1, 1, 1, 1, 1, 1)
-        m = poss_pair_derivative(cond, PossState(1, 1), PossState(1, 1))
+        m = cond.derivative(PossState(1, 1), PossState(1, 1))
         assert all(e == ZERO for row in m.rows for e in row)
 
     def test_dominant_joint_with_headroom_follows(self):
         cond = make_pair_cond()
-        m = poss_pair_derivative(cond, PossState(0.4, 1.0), PossState(1.0, 0.2))
+        m = cond.derivative(PossState(0.4, 1.0), PossState(1.0, 0.2))
         assert m[0][0] == POS
         base = sup_min2(cond, True, (0.4, 1.0), (1.0, 0.2))
         up = sup_min2(cond, True, (0.4 + EPS, 1.0), (1.0, 0.2))
@@ -304,7 +269,7 @@ class TestPossPair:
 
     def test_dominant_joint_without_headroom_may_follow_down(self):
         cond = make_pair_cond()
-        m = poss_pair_derivative(cond, PossState(1.0, 0.4), PossState(1.0, 0.2))
+        m = cond.derivative(PossState(1.0, 0.4), PossState(1.0, 0.2))
         assert m[0][0] == DOWN
         base = sup_min2(cond, True, (1.0, 0.4), (1.0, 0.2))
         up = sup_min2(cond, True, (1.0, 0.4), (1.0, 0.2))  # pi(b) cannot rise above 1
@@ -316,7 +281,7 @@ class TestPossPair:
 
         for _ in range(200):
             cond = rand_poss_cond2(rng)
-            m = poss_pair_derivative(cond, PossState(*rand_poss_prior(rng)), PossState(*rand_poss_prior(rng)))
+            m = cond.derivative(PossState(*rand_poss_prior(rng)), PossState(*rand_poss_prior(rng)))
             for row in m.rows:
                 for e in row:
                     assert e in (POS, ZERO, UP, DOWN)
@@ -338,24 +303,24 @@ def pain_table() -> BelCond2Joint:
 
 class TestBelPairJoint:
     def test_pain_table_second_parent(self):
-        m = bel_pair_joint_derivative(pain_table())
+        m = pain_table().derivative()
         assert m[0][2] == POS   # bel(p) follows bel(a)
         assert m[0][3] == ZERO  # bel(p) independent of bel(~a)
 
     def test_pain_table_negative_child(self):
-        m = bel_pair_joint_derivative(pain_table())
+        m = pain_table().derivative()
         assert m[1][2] == NEG   # bel(~p) varies inversely with bel(a)
         assert m[1][3] == POS   # bel(~p) follows bel(~a)
 
     def test_all_zero_table(self):
-        m = bel_pair_joint_derivative(BelCond2Joint.from_values({}))
+        m = BelCond2Joint.from_values({}).derivative()
         assert all(e == ZERO for row in m.rows for e in row)
 
     def test_finite_difference_containment(self):
         rng = random.Random(37)
         for _ in range(200):
             cond = rand_bel_cond2(rng)
-            m = bel_pair_joint_derivative(cond)
+            m = cond.derivative()
             masses = lambda b, d: ((True, b), (False, d), (None, 1 - b - d))  # noqa: E731
 
             def joint_bel(bb, bnb, cb, cnb):
@@ -387,8 +352,8 @@ class TestParentSwapStability:
                     for cb in cells
                 }
             )
-            m = bel_pair_joint_derivative(cond)
-            ms = bel_pair_joint_derivative(swapped)
+            m = cond.derivative()
+            ms = swapped.derivative()
             for i in range(2):
                 assert ms[i][:2] == m[i][2:]
                 assert ms[i][2:] == m[i][:2]
@@ -404,8 +369,8 @@ class TestParentSwapStability:
                 cond.pi_nd_given_bc, cond.pi_nd_given_nb_c, cond.pi_nd_given_b_nc, cond.pi_nd_given_nb_nc,
             )
             sb, sc = PossState(*rand_poss_prior(rng)), PossState(*rand_poss_prior(rng))
-            m = poss_pair_derivative(cond, sb, sc)
-            ms = poss_pair_derivative(swapped, sc, sb)
+            m = cond.derivative(sb, sc)
+            ms = swapped.derivative(sc, sb)
             for i in range(2):
                 assert ms[i][:2] == m[i][2:]
                 assert ms[i][2:] == m[i][:2]
@@ -414,15 +379,15 @@ class TestParentSwapStability:
 class TestBelPairSeparate:
     def test_weakly_follows(self):
         t = BelCond1(bel_c_given_a=0.7, bel_c_given_frame=0.2)
-        m = bel_pair_separate_derivative(BelCond2Separate(t, t))
+        m = BelCond2Separate(t, t).derivative()
         assert m[0][0] == POS
 
     def test_indeterminate(self):
         t = BelCond1(bel_c_given_a=0.1, bel_c_given_frame=0.2)
-        m = bel_pair_separate_derivative(BelCond2Separate(t, t))
+        m = BelCond2Separate(t, t).derivative()
         assert m[0][0] == UNKNOWN
 
     def test_equality_still_follows(self):
         t = BelCond1(bel_c_given_a=0.3, bel_c_given_frame=0.3)
-        m = bel_pair_separate_derivative(BelCond2Separate(t, t))
+        m = BelCond2Separate(t, t).derivative()
         assert m[0][0] == POS

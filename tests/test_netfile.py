@@ -109,6 +109,16 @@ class TestParse:
         result = parse_network(text)
         assert any("already has a link" in d.message for d in result.diagnostics)
 
+    def test_indented_lines_parse_like_unindented_ones(self, medical_text):
+        indents = ("  ", "\t", " \t ")
+        indented = "\n".join(indents[i % 3] + line for i, line in enumerate(medical_text.splitlines()))
+        flat = parse_network(medical_text)
+        result = parse_network(indented)
+        assert result.ok
+        assert result.document == flat.document
+        one = parse_network("node a prob\nnode c prob\n  link a -> c\n\tcond c | a = 0.5\n")
+        assert one.ok and one.document.links[0].parents == ("a",) and one.document.conds[0].value == 0.5
+
 
 class TestBuild:
     def test_medical_tables(self, medical_text):
@@ -592,7 +602,7 @@ def ref_parse_network(text: str) -> ParseResult:
     prior_seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = raw.split("#", 1)[0].strip()
         if not line.strip():
             continue
         tokens = line.split()

@@ -292,9 +292,7 @@ class TestPropagate:
             [Variable("a", POSS, (0.5, 1.0)), Variable("c", POSS)],
             [Link("c", ("a",), cond)],
         )
-        from qcnet.network import link_matrix
-
-        assert link_matrix(net, net.link_of["c"])[0][0] == UP
+        assert net.compiled.matrices["c"][0][0] == UP
         # pin the complement channel at zero so only the marker entry acts
         up_run = propagate(net, {"a": (POS, ZERO)})
         down_run = propagate(net, {"a": (NEG, ZERO)})
