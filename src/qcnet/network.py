@@ -164,6 +164,8 @@ class CompiledNetwork:
     order: tuple[str, ...] | None  # topological; None when there is a directed cycle
     matrices: Mapping[str, QMatrix]  # by child; empty unless the report is ok
     steps: tuple[_Step, ...]  # in topological order; empty unless the report is ok
+    position: Mapping[str, int]  # name -> index into order and steps; empty unless the report is ok
+    pure: frozenset[str]  # names whose whole ancestry is in their own formalism; empty unless ok
 
 
 def _compile(net: Network) -> CompiledNetwork:
@@ -171,20 +173,28 @@ def _compile(net: Network) -> CompiledNetwork:
     order = _kahn_order(net, children)
     report = _check(net, order is not None)
     if not report.ok:
-        return CompiledNetwork(report, children, order, MappingProxyType({}), ())
+        empty = MappingProxyType({})
+        return CompiledNetwork(report, children, order, empty, (), empty, frozenset())
     matrices: dict[str, QMatrix] = {}
     steps = []
+    pure: set[str] = set()
     for name in order:
         link = net.link_of.get(name)
         if link is None:
             steps.append(_Step(name, (), (), None))
+            pure.add(name)
             continue
         states = [_parent_poss_state(net, p) for p in link.parents] if link.table.state_dependent else ()
         matrices[name] = matrix = link.table.derivative(*states)
         form = net.variables[name].formalism
         bridged = tuple(net.variables[p].formalism is not form for p in link.parents)
         steps.append(_Step(name, link.parents, bridged, matrix))
-    return CompiledNetwork(report, children, order, MappingProxyType(matrices), tuple(steps))
+        if not any(bridged) and all(p in pure for p in link.parents):
+            pure.add(name)
+    position = MappingProxyType({name: i for i, name in enumerate(order)})
+    return CompiledNetwork(
+        report, children, order, MappingProxyType(matrices), tuple(steps), position, frozenset(pure)
+    )
 
 
 def _child_lists(net: Network) -> Mapping[str, tuple[str, ...]]:
@@ -377,24 +387,6 @@ def complete_change(
     return clipped, delta_nx
 
 
-def bridge_change(
-    delta: tuple[QSign, QSign],
-    from_formalism: Formalism,
-    to_formalism: Formalism,
-    zero_strict: bool = False,
-) -> tuple[QSign, QSign]:
-    """Carry a change pair across a formalism boundary.
-
-    Within one formalism this is the identity.  Across formalisms each
-    component widens monotonically: a rise becomes "rise or stay", a fall
-    "fall or stay", and a definite no-change stays put (or becomes unknown
-    under ``zero_strict``).
-    """
-    if from_formalism is to_formalism:
-        return delta
-    return _widen(delta, zero_strict)
-
-
 def _widen(delta: tuple[QSign, QSign], zero_strict: bool) -> tuple[QSign, QSign]:
     return delta[0].widened(zero_strict), delta[1].widened(zero_strict)
 
@@ -506,27 +498,24 @@ def _normalize_evidence(net: Network, evidence: Evidence) -> dict[str, tuple[QSi
     return out
 
 
-def propagate(net: Network, evidence: Evidence, zero_strict_bridge: bool = False) -> ChangeReport:
-    """Propagate qualitative evidence through the network.
-
-    Evidence changes are completed against each variable's prior, then
-    pushed through links in topological order.  A child's incoming change
-    is the sum (qualitative addition) over parents of the parent's change,
-    bridged into the child's formalism, multiplied through the link's
-    derivative matrix; evidence on an internal variable adds to whatever
-    arrives from its parents.  Derivative matrices are evaluated once, at
-    the pre-evidence state, when the network is compiled.
-    """
-    compiled = _require_valid(net)
-    completed = {
+def _complete_evidence(net: Network, evidence: Evidence) -> dict[str, Change]:
+    """Each evidence variable's change pair, completed against its prior."""
+    return {
         name: complete_change(net.variables[name], partial)
         for name, partial in _normalize_evidence(net, evidence).items()
     }
 
+
+def _walk(
+    steps: Iterable[_Step], completed: Mapping[str, Change], zero_strict_bridge: bool
+) -> tuple[dict[str, Change], dict[str, tuple[Contribution, ...]]]:
+    """The non-zero changes and the provenance of the given steps, taken in
+    the given (topological) order; a parent without a step reads as no
+    change."""
     changes: dict[str, Change] = {}
     provenance: dict[str, tuple[Contribution, ...]] = {}
 
-    for name, parents, bridged, matrix in compiled.steps:
+    for name, parents, bridged, matrix in steps:
         contribs: list[Contribution] = []
         total: Change = ZERO_CHANGE
 
@@ -554,6 +543,22 @@ def propagate(net: Network, evidence: Evidence, zero_strict_bridge: bool = False
         if contribs:
             provenance[name] = tuple(contribs)
 
+    return changes, provenance
+
+
+def propagate(net: Network, evidence: Evidence, zero_strict_bridge: bool = False) -> ChangeReport:
+    """Propagate qualitative evidence through the network.
+
+    Evidence changes are completed against each variable's prior, then
+    pushed through links in topological order.  A child's incoming change
+    is the sum (qualitative addition) over parents of the parent's change,
+    bridged into the child's formalism, multiplied through the link's
+    derivative matrix; evidence on an internal variable adds to whatever
+    arrives from its parents.  Derivative matrices are evaluated once, at
+    the pre-evidence state, when the network is compiled.
+    """
+    compiled = _require_valid(net)
+    changes, provenance = _walk(compiled.steps, _complete_evidence(net, evidence), zero_strict_bridge)
     return ChangeReport(ChangeVector(changes), compiled.matrices, provenance)
 
 

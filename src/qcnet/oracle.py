@@ -10,21 +10,27 @@ strict prediction to be tested meaningfully are resampled and counted.
 
 from __future__ import annotations
 
+import math
 import random
+import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .links import PossState
 from .network import (
     BEL,
     Change,
+    ChangeVector,
     Evidence,
     Formalism,
     Link,
     Network,
     POSS,
     PROB,
-    propagate,
+    Variable,
+    _complete_evidence,
+    _walk,
 )
 from .signs import NEG, POS, QSign, ZERO, sign_of
 
@@ -46,11 +52,6 @@ class QuantModel:
     network: Network
     priors: Mapping[str, tuple[float, float]]
 
-    def with_prior(self, name: str, pair: tuple[float, float]) -> "QuantModel":
-        updated = dict(self.priors)
-        updated[name] = pair
-        return QuantModel(self.network, updated)
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -66,10 +67,18 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if self.direction not in (INCREASE, DECREASE):
             raise ValueError(f"direction must be {INCREASE!r} or {DECREASE!r}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
+            raise ValueError("trials must be an integer")
         if self.trials <= 0:
             raise ValueError("trials must be positive")
+        if not math.isfinite(self.zero_tolerance):
+            raise ValueError("zero_tolerance must be finite")
+        if self.zero_tolerance < 0:
+            raise ValueError("zero_tolerance must not be negative")
 
 
 def _sample_prior(formalism: Formalism, rng: random.Random) -> tuple[float, float]:
@@ -84,14 +93,68 @@ def _sample_prior(formalism: Formalism, rng: random.Random) -> tuple[float, floa
     return a, b - a
 
 
-def sample_model(net: Network, seed: int) -> QuantModel:
-    """Fill unspecified priors at random; declared priors are kept verbatim."""
+# Draws of ``rng.random()`` that ``_sample_prior`` makes for each formalism.
+_DRAWS = {PROB: 1, POSS: 2, BEL: 2}
+
+
+class _Sampler:
+    """A network's variables in name order, the order in which
+    :func:`sample_model` draws their priors, and the number of draws made
+    before each; built once per network."""
+
+    def __init__(self, net: Network):
+        self.variables = tuple(v for _, v in sorted(net.variables.items()))
+        self.index = {v.name: i for i, v in enumerate(self.variables)}
+        self.draws_before = list(
+            accumulate((0 if v.prior is not None else _DRAWS[v.formalism] for v in self.variables), initial=0)
+        )
+
+    def plan(self, names: Iterable[str]) -> list[tuple[int, Variable]]:
+        """(draws to skip, variable) for each of ``names`` in name order:
+        sampling only these, after skipping the draws every other variable
+        takes, gives each the prior :func:`sample_model` does.  O(k log k)
+        for k names."""
+        out = []
+        at = 0
+        for i in sorted({self.index[n] for n in names}):
+            out.append((self.draws_before[i] - at, self.variables[i]))
+            at = self.draws_before[i + 1]
+        return out
+
+
+# A memo of what each live network's variables determine; networks are
+# immutable, so an entry never goes stale, and it goes with its network.
+_SAMPLERS: weakref.WeakKeyDictionary[Network, _Sampler] = weakref.WeakKeyDictionary()
+
+
+def _sampler(net: Network) -> _Sampler:
+    sampler = _SAMPLERS.get(net)
+    if sampler is None:
+        sampler = _SAMPLERS[net] = _Sampler(net)
+    return sampler
+
+
+def _draw(plan: Iterable[tuple[int, Variable]], seed: int) -> dict[str, tuple[float, float]]:
+    """The priors of a plan's variables, from a generator seeded with ``seed``."""
     rng = random.Random(seed)
     priors: dict[str, tuple[float, float]] = {}
-    for name in sorted(net.variables):
-        var = net.variables[name]
-        priors[name] = var.prior if var.prior is not None else _sample_prior(var.formalism, rng)
-    return QuantModel(net, priors)
+    for skip, var in plan:
+        if skip:
+            # one random() consumes two 32-bit words of the generator, so
+            # this advances it exactly as ``skip`` random() calls would
+            rng.getrandbits(64 * skip)
+        priors[var.name] = var.prior if var.prior is not None else _sample_prior(var.formalism, rng)
+    return priors
+
+
+def sample_model(net: Network, seed: int) -> QuantModel:
+    """Fill unspecified priors at random; declared priors are kept verbatim.
+
+    Every variable is sampled, in name order, from one generator seeded
+    with ``seed``.  An oracle check samples only the roots its segment
+    reads, and gives each the prior this function would.
+    """
+    return QuantModel(net, _draw(((0, v) for v in _sampler(net).variables), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +209,7 @@ def _ancestry(net: Network, names: Iterable[str]) -> tuple[list[str], str | None
                     return [], f"cannot evaluate {v!r}: parent {p!r} lives in another formalism"
             stack.append((v, True))
             stack.extend((p, False) for p in reversed(link.parents))
-    return [v for v in net.compiled.order if v in seen], None
+    return sorted(seen, key=net.compiled.position.__getitem__), None
 
 
 def _require_valid(net: Network) -> None:
@@ -300,8 +363,14 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     perturbation; variables behind a formalism bridge are only checked for
     the monotone-widening property, since the bridge itself is an
     assumption with no numeric counterpart.
+
+    Only the target's descendants and the checked segment (the checked
+    variables and their ancestors) are visited: a check costs
+    O(d log d + s) for d descendants and a segment of s variables, and each
+    trial O(s), whatever the size of the rest of the network.
     """
     _require_valid(net)
+    compiled = net.compiled
 
     if spec.target not in net.variables:
         raise OracleError(f"unknown target variable {spec.target!r}")
@@ -317,33 +386,32 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     if ev_sign != wanted:
         raise OracleError(f"evidence for {spec.target!r} must be {wanted} to match direction {spec.direction!r}")
 
-    prediction = propagate(net, evidence).changes
-    target_form = net.variables[spec.target].formalism
+    # Evidence on a single root changes nothing outside its descendants:
+    # there every parent is unchanged, a zero change stays zero through any
+    # derivative, and, as propagate's default does, a bridged zero stays
+    # zero.  So the descendants' steps, in compiled order, predict what the
+    # full walk would.  (With zero_strict_bridge a bridged zero widens to
+    # ?, which reaches variables outside the descendants: never walk a
+    # subset in that mode.)
     downstream = net.descendants(spec.target)
-    same_form: set[str] = set()  # variables whose whole ancestry is in the target's formalism
-    for v in net.compiled.order:
-        link = net.link_of.get(v)
-        if net.variables[v].formalism is target_form and (
-            link is None or all(p in same_form for p in link.parents)
-        ):
-            same_form.add(v)
-    checked = sorted(downstream & same_form)
-    checked_set = set(checked)
-    bridge = sorted(
-        link.child
-        for link in net.links
-        if link.child in downstream
-        and link.child not in checked_set
-        and any(p in checked_set for p in link.parents)
+    steps = [compiled.steps[i] for i in sorted(compiled.position[v] for v in downstream)]
+    prediction = ChangeVector(_walk(steps, _complete_evidence(net, evidence), False)[0])
+    target_form = net.variables[spec.target].formalism
+    checked = sorted(
+        v for v in downstream if v in compiled.pure and net.variables[v].formalism is target_form
     )
+    checked_set = set(checked)
+    bridge = sorted({c for v in checked for c in compiled.children.get(v, ()) if c not in checked_set})
     unchecked = sorted(downstream - checked_set - set(bridge))
     # Only the segment (the checked variables and their ancestors) is
-    # evaluated; the perturbation changes only the checked variables below
-    # the target, all of them non-roots.  Probability and belief margins
-    # depend on the tables alone, so they are computed once per check;
-    # state-dependent (possibility) links are degenerate or not at each
-    # sampled state.
+    # evaluated, and only its roots' priors are sampled (and the target's,
+    # which a refused segment leaves out but _perturb reads); the perturbation
+    # changes only the checked variables below the target, all of them
+    # non-roots.  Probability and belief margins depend on the tables
+    # alone, so they are computed once per check; state-dependent
+    # (possibility) links are degenerate or not at each sampled state.
     segment, refusal = _ancestry(net, checked)
+    plan = _sampler(net).plan([spec.target, *(v for v in segment if v not in net.link_of)])
     below = [v for v in segment if v in checked_set and v != spec.target]
     segment_links = [net.link_of[v] for v in checked if v != spec.target]
     table_degenerate = any(link.table.margin() < _DEGENERATE_TOL for link in segment_links)
@@ -358,7 +426,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     for trial in range(spec.trials):
         for attempt in range(RESAMPLE_CAP):
             trial_seed = (spec.seed * 1_000_003 + trial) * 1_000_003 + attempt
-            model = sample_model(net, trial_seed)
+            model = QuantModel(net, _draw(plan, trial_seed))
             moved = _perturb(target_form, model.priors[spec.target], spec.direction, spec.epsilon)
             if moved is None or table_degenerate:
                 resampled += 1

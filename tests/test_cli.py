@@ -273,6 +273,8 @@ class TestUnreadableInput:
             ("--trials", "-3", "trials must be positive"),
             ("--epsilon", "0", "epsilon must be positive"),
             ("--epsilon", "-0.001", "epsilon must be positive"),
+            ("--epsilon", "nan", "epsilon must be finite"),
+            ("--epsilon", "inf", "epsilon must be finite"),
         ],
     )
     def test_verify_values_out_of_range(self, option, value, message):

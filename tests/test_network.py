@@ -15,7 +15,6 @@ from qcnet.network import (
     POSS,
     PROB,
     Variable,
-    bridge_change,
     complete_change,
     explain,
     propagate,
@@ -218,23 +217,33 @@ class TestCompleteChange:
 
 
 class TestBridgeChange:
+    """Bridging widens each component of a change with ``QSign.widened``."""
+
     def test_probability_to_belief(self):
-        assert bridge_change((POS, NEG), PROB, BEL) == (POS_ZERO, NEG_ZERO)
+        assert (POS.widened(), NEG.widened()) == (POS_ZERO, NEG_ZERO)
 
     def test_probability_to_possibility(self):
-        assert bridge_change((NEG, POS), PROB, POSS) == (NEG_ZERO, POS_ZERO)
+        assert (NEG.widened(), POS.widened()) == (NEG_ZERO, POS_ZERO)
 
     def test_zero_never_sharpens(self):
-        assert bridge_change((ZERO, ZERO), PROB, BEL) == (ZERO, ZERO)
+        assert (ZERO.widened(), ZERO.widened()) == (ZERO, ZERO)
 
     def test_same_formalism_identity(self):
-        assert bridge_change((POS, NEG), BEL, BEL) == (POS, NEG)
+        net = Network(
+            [Variable("a", PROB), Variable("c", PROB)],
+            [Link("c", ("a",), ProbCond1(0.8, 0.2))],
+        )
+        report = propagate(net, {"a": POS})
+        assert [step.bridged for step in net.compiled.steps] == [(), (False,)]
+        (contrib,) = report.provenance["c"]
+        assert contrib.change == report.changes["c"] == (POS, NEG)
+        assert not contrib.bridged
 
     def test_strict_mode_zero_becomes_unknown(self):
-        assert bridge_change((ZERO, POS), PROB, POSS, zero_strict=True) == (UNKNOWN, POS_ZERO)
+        assert (ZERO.widened(zero_strict=True), POS.widened(zero_strict=True)) == (UNKNOWN, POS_ZERO)
 
     def test_subsets_widen_elementwise(self):
-        assert bridge_change((POS_ZERO, UNKNOWN), PROB, BEL) == (POS_ZERO, UNKNOWN)
+        assert (POS_ZERO.widened(), UNKNOWN.widened()) == (POS_ZERO, UNKNOWN)
 
 
 class TestPropagate:

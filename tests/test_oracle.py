@@ -28,6 +28,7 @@ from qcnet.oracle import (
     ContainmentReport,
     OracleError,
     PerturbationSpec,
+    QuantModel,
     VariableCheck,
     check_containment,
     exact_belief,
@@ -35,7 +36,7 @@ from qcnet.oracle import (
     exact_probability,
     sample_model,
 )
-from qcnet.signs import NEG, POS, sign_of
+from qcnet.signs import NEG, POS, UNKNOWN, ZERO, sign_of
 
 
 class TestSampleModel:
@@ -61,6 +62,21 @@ class TestSampleModel:
         m1 = sample_model(medical_net, seed=7)
         m2 = sample_model(medical_net, seed=7)
         assert m1.priors == m2.priors
+
+    def test_matches_reference_sampler(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            net = random_polytree(rng, rng.randint(1, 40))
+            assert sample_model(net, seed).priors == ref_sample_model(net, seed).priors
+
+    @pytest.mark.parametrize("draws", [1, 2, 311, 312, 313, 624, 1000])
+    def test_skipping_draws_advances_the_generator_like_drawing(self, draws):
+        # a plan skips d draws of random() with getrandbits(64 * d)
+        drawn, skipped = random.Random(draws), random.Random(draws)
+        for _ in range(draws):
+            drawn.random()
+        skipped.getrandbits(64 * draws)
+        assert drawn.getstate() == skipped.getstate()
 
     def test_sampled_priors_satisfy_invariants(self, medical_net):
         model = sample_model(medical_net, seed=3)
@@ -93,7 +109,8 @@ class TestExactProbability:
         assert exact_probability(sample_model(net, 0), "c")[0] == pytest.approx(0.4)
 
     def test_two_parent_sum(self, medical_net):
-        model = sample_model(medical_net, 0).with_prior("d", (0.5, 0.5)).with_prior("s", (0.5, 0.5))
+        model = sample_model(medical_net, 0)
+        model = QuantModel(medical_net, {**model.priors, "d": (0.5, 0.5), "s": (0.5, 0.5)})
         pa, _ = exact_probability(model, "a")
         assert pa == pytest.approx(0.25 * (0.9 + 0.6 + 0.6 + 0.4))
 
@@ -265,6 +282,27 @@ class TestCheckContainment:
         with pytest.raises(ValueError):
             PerturbationSpec("a", INCREASE, trials=0)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"epsilon": float("nan")}, "epsilon must be finite"),
+            ({"epsilon": float("inf")}, "epsilon must be finite"),
+            ({"epsilon": -float("inf")}, "epsilon must be finite"),
+            ({"zero_tolerance": float("nan")}, "zero_tolerance must be finite"),
+            ({"zero_tolerance": float("inf")}, "zero_tolerance must be finite"),
+            ({"zero_tolerance": -1e-12}, "zero_tolerance must not be negative"),
+            ({"trials": 2.5}, "trials must be an integer"),
+            ({"trials": 2.0}, "trials must be an integer"),
+            ({"trials": True}, "trials must be an integer"),
+        ],
+    )
+    def test_non_finite_and_non_integer_values_rejected(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PerturbationSpec("a", INCREASE, **values)
+
+    def test_zero_tolerance_may_be_zero(self):
+        assert PerturbationSpec("a", INCREASE, zero_tolerance=0.0).zero_tolerance == 0.0
+
     def test_extra_evidence_rejected(self, medical_net):
         spec = PerturbationSpec("s", INCREASE, trials=10)
         with pytest.raises(OracleError):
@@ -308,7 +346,7 @@ class TestNumericInvariants:
             if not eps <= p_a <= 1 - eps:
                 continue
             base = exact_probability(model, "c")[0]
-            bumped = exact_probability(model.with_prior("a", (p_a + eps, 1 - p_a - eps)), "c")[0]
+            bumped = exact_probability(QuantModel(net, {**model.priors, "a": (p_a + eps, 1 - p_a - eps)}), "c")[0]
             slope = (bumped - base) / eps
             analytic = t.p_c_given_a - t.p_c_given_na
             assert (slope > 0) == (analytic > 0)
@@ -322,7 +360,7 @@ class TestNumericInvariants:
             if not eps <= p_b <= 1 - eps:
                 continue
             base = exact_probability(model, "d")[0]
-            bumped = exact_probability(model.with_prior("b", (p_b + eps, 1 - p_b - eps)), "d")[0]
+            bumped = exact_probability(QuantModel(net, {**model.priors, "b": (p_b + eps, 1 - p_b - eps)}), "d")[0]
             slope = (bumped - base) / eps
             analytic = p_c * (t.get(True, True, True) - t.get(True, False, True)) + (1 - p_c) * (
                 t.get(True, True, False) - t.get(True, False, False)
@@ -340,7 +378,7 @@ class TestNumericInvariants:
                 moved = (1.0 - eps, 1.0)  # coupled: complement rises to 1
             else:
                 moved = (x - eps, nx) if x >= eps else (x + eps, nx)
-            perturbed = model.with_prior("a", moved)
+            perturbed = QuantModel(net, {**model.priors, "a": moved})
             assert max(perturbed.priors["a"]) == 1.0
             cx, cnx = exact_possibility(perturbed, "c")
             assert max(cx, cnx) == pytest.approx(1.0)
@@ -492,6 +530,17 @@ def ref_degenerate(model, link, tol):
     return table.degenerate(states[0], states[1], tol)
 
 
+def ref_sample_model(net, seed):
+    """Every variable's prior, sampled in name order from one generator
+    (the definition the oracle's sampling plans must reproduce)."""
+    rng = random.Random(seed)
+    priors = {}
+    for name in sorted(net.variables):
+        var = net.variables[name]
+        priors[name] = var.prior if var.prior is not None else oracle._sample_prior(var.formalism, rng)
+    return QuantModel(net, priors)
+
+
 def ref_check_containment(net, evidence, spec):
     """Containment check re-evaluating every checked variable from scratch,
     before and after the perturbation (the oracle's definition)."""
@@ -513,7 +562,7 @@ def ref_check_containment(net, evidence, spec):
     completed = resampled = skipped = 0
     for trial in range(spec.trials):
         for attempt in range(RESAMPLE_CAP):
-            model = sample_model(net, (spec.seed * 1_000_003 + trial) * 1_000_003 + attempt)
+            model = ref_sample_model(net, (spec.seed * 1_000_003 + trial) * 1_000_003 + attempt)
             moved = oracle._perturb(form, model.priors[spec.target], spec.direction, spec.epsilon)
             if moved is None or any(ref_degenerate(model, net.link_of[v], 1e-9) for v in checked if v in net.link_of):
                 resampled += 1
@@ -522,7 +571,7 @@ def ref_check_containment(net, evidence, spec):
         else:
             skipped += 1
             continue
-        after_model = model.with_prior(spec.target, moved)
+        after_model = QuantModel(net, {**model.priors, spec.target: moved})
         observed = {}
         for v in checked:
             before, after = ref_exact(model, v, {}), ref_exact(after_model, v, {})
@@ -622,3 +671,92 @@ class TestMatchesRecursiveReference:
             [Variable(v, BEL) for v in ("a", "b", "m", "q", "r", "t", "z")],
             [Link(child, parents, tables[kind]) for child, parents, kind in links],
         )
+
+
+# ---------------------------------------------------------------------------
+# a check costs its segment, not the whole network
+# ---------------------------------------------------------------------------
+
+def beside(rng, first, second):
+    """The two networks as one, with every name replaced by a shuffled
+    ``n<k>``, so the name order interleaves the two components."""
+    names = [f"n{k:03d}" for k in range(len(first.variables) + len(second.variables))]
+    rng.shuffle(names)
+    fresh = iter(names)
+    rename = [{v: next(fresh) for v in sorted(net.variables)} for net in (first, second)]
+    return Network(
+        [
+            Variable(to[v.name], v.formalism, v.prior)
+            for net, to in zip((first, second), rename)
+            for v in net.variables.values()
+        ],
+        [
+            Link(to[link.child], tuple(to[p] for p in link.parents), link.table)
+            for net, to in zip((first, second), rename)
+            for link in net.links
+        ],
+    )
+
+
+MIXES = [(PROB, POSS, BEL), (PROB,), (POSS,), (BEL,), (PROB, BEL), (BEL, POSS)]
+
+
+class TestSegmentOnly:
+    @settings(max_examples=70, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(2, 25), st.integers(1, 25)),
+        mixes=st.lists(st.sampled_from(MIXES), min_size=2, max_size=2, unique=True),
+        increase=st.booleans(),
+    )
+    def test_matches_reference_beside_an_unrelated_component(self, seed, sizes, mixes, increase):
+        rng = random.Random(seed)
+        net = beside(rng, *(random_polytree(rng, n, mix) for n, mix in zip(sizes, mixes)))
+        direction, sign = (INCREASE, POS) if increase else (DECREASE, NEG)
+        for target in rng.sample(sorted(v for v in net.variables if v not in net.link_of), 2):
+            spec = PerturbationSpec(target, direction, trials=3, seed=seed % 1000)
+            got = outcome(check_containment, net, {target: sign}, spec)
+            want = outcome(ref_check_containment, net, {target: sign}, spec)
+            assert got == want
+            if isinstance(want, ContainmentReport):
+                assert got.to_table() == want.to_table()
+
+    def test_cost_does_not_grow_with_an_unrelated_component(self, monkeypatch):
+        rng = random.Random(5)
+        # a 3-link chain c0 -> c1 -> c2 -> c3 beside a 5000-variable chain of
+        # prior-less variables whose names sort before and after it
+        big = [Variable(f"{'a' if i % 2 else 'd'}{i:04d}", (PROB, POSS, BEL)[i % 3]) for i in range(5000)]
+        net = Network(
+            [Variable(f"c{i}", PROB) for i in range(4)] + big,
+            [Link(f"c{i}", (f"c{i - 1}",), rand_prob_cond1(rng)) for i in range(1, 4)]
+            + [Link(big[i].name, (big[i - 1].name,), BelCond1(0.7, 0.1, 0.3, 0.1, 0.6, 0.3))
+               for i in range(1, 5000) if big[i].formalism is BEL and big[i - 1].formalism is BEL],
+        )
+        sampled, walked = [], []
+        real_sample, real_walk = oracle._sample_prior, oracle._walk
+
+        def walk(steps, *rest):
+            walked.extend(steps)
+            return real_walk(steps, *rest)
+
+        monkeypatch.setattr(oracle, "_sample_prior", lambda f, rng: sampled.append(f) or real_sample(f, rng))
+        monkeypatch.setattr(oracle, "_walk", walk)
+        spec = PerturbationSpec("c0", INCREASE, trials=20, seed=3, epsilon=0.3)
+        report = check_containment(net, {"c0": POS}, spec)
+        attempts = report.completed + report.resampled
+        assert report.completed == 20 and report.resampled > 0
+        assert 0 < len(sampled) <= 4 * attempts  # segment: c0..c3
+        assert [step.name for step in walked] == ["c0", "c1", "c2", "c3"]
+        assert report == ref_check_containment(net, {"c0": POS}, spec)
+
+    def test_zero_strict_bridge_reaches_beyond_the_descendants(self):
+        # the oracle's descendants-only walk is exact only without
+        # zero_strict_bridge: a bridged zero widens to ? outside them
+        net = Network(
+            [Variable("a", PROB), Variable("b", PROB), Variable("c", BEL)],
+            [Link("c", ("b",), BelCond1(bel_c_given_a=0.8, bel_c_given_frame=0.2))],
+        )
+        assert "c" not in net.descendants("a")
+        assert propagate(net, {"a": POS}).changes["c"] == (ZERO, ZERO)
+        dx, dnx = propagate(net, {"a": POS}, zero_strict_bridge=True).changes["c"]
+        assert UNKNOWN in (dx, dnx)
