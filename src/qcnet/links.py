@@ -258,18 +258,25 @@ class ProbCond2(ConditionalTable):
 # possibility
 # ---------------------------------------------------------------------------
 
-def _poss_entry_1(cond_y: float, cond_ny: float, pi_y: float, pi_ny: float) -> QSign:
-    # dominance: the y-branch of the sup-min determines the child value;
-    # headroom: pi(y) itself (not the conditional) is the active minimum.
-    dominant = min(cond_y, pi_y) > min(cond_ny, pi_ny)
-    headroom = pi_y < cond_y
-    if dominant and headroom:
-        return POS
-    if headroom:
-        return UP
-    if dominant:
-        return DOWN
-    return ZERO
+def _poss_entry_1(cond_y: float, cond_ny: float, pi_y: float, pi_ny: float) -> tuple[QSign, float]:
+    """Entry (c, y) of a single-parent possibility matrix, and the smallest
+    gap the entry was decided on (infinite for entries never fragile).
+
+    Dominance: the y-branch of the sup-min determines the child value;
+    headroom: pi(y) itself (not the conditional) is the active minimum.
+    Only + entries are fragile: marker and zero entries are safe at their
+    boundaries because the inactive branch of the sup-min pins the child
+    value.
+    """
+    dom_gap = min(cond_y, pi_y) - min(cond_ny, pi_ny)
+    head_gap = cond_y - pi_y
+    if dom_gap > 0 and head_gap > 0:
+        return POS, min(dom_gap, head_gap)
+    if head_gap > 0:
+        return UP, math.inf
+    if dom_gap > 0:
+        return DOWN, math.inf
+    return ZERO, math.inf
 
 
 @dataclass(frozen=True)
@@ -307,6 +314,17 @@ class PossCond1(ConditionalTable):
                 out.append(f"conditional possibilities given {label} do not reach 1")
         return tuple(out)
 
+    def _entries(self, parent_state: PossState):
+        """(entry, gap) of every matrix entry, row by row."""
+        for child_pos in (True, False):
+            for parent_pos in (True, False):
+                yield _poss_entry_1(
+                    self.get(child_pos, parent_pos),
+                    self.get(child_pos, not parent_pos),
+                    parent_state.get(parent_pos),
+                    parent_state.get(not parent_pos),
+                )
+
     def derivative(self, parent_state: PossState) -> QMatrix:
         """2x2 matrix of {+, 0, up, down} entries.
 
@@ -315,20 +333,8 @@ class PossCond1(ConditionalTable):
         rise in the parent could start to matter, the down marker when only a
         fall could, and 0 otherwise.
         """
-        rows = []
-        for child_pos in (True, False):
-            row = []
-            for parent_pos in (True, False):
-                row.append(
-                    _poss_entry_1(
-                        self.get(child_pos, parent_pos),
-                        self.get(child_pos, not parent_pos),
-                        parent_state.get(parent_pos),
-                        parent_state.get(not parent_pos),
-                    )
-                )
-            rows.append(tuple(row))
-        return QMatrix(tuple(rows))
+        entries = [entry for entry, _ in self._entries(parent_state)]
+        return QMatrix((tuple(entries[:2]), tuple(entries[2:])))
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         return _label_cells(matrix, lambda child_pos, j, entry: _POSS_CASES[entry])
@@ -343,24 +349,11 @@ class PossCond1(ConditionalTable):
 
     def degenerate(self, parent_state: PossState, tol: float = 1e-9) -> bool:
         """Whether the state sits too close to a decision boundary for a
-        strict prediction to be meaningfully tested.
-
-        Only entries claiming guaranteed transmission (+) are fragile: both
-        their dominance gap and their headroom must clear the tolerance.
-        Marker and zero entries are safe at their boundaries because the
-        inactive branch of the sup-min pins the child value.
+        strict prediction to be meaningfully tested: some + entry's
+        dominance gap or headroom (see :func:`_poss_entry_1`) is below the
+        tolerance.
         """
-        for child_pos in (True, False):
-            for parent_pos in (True, False):
-                c_y = self.get(child_pos, parent_pos)
-                c_ny = self.get(child_pos, not parent_pos)
-                pi_y = parent_state.get(parent_pos)
-                pi_ny = parent_state.get(not parent_pos)
-                dom_gap = min(c_y, pi_y) - min(c_ny, pi_ny)
-                head_gap = c_y - pi_y
-                if dom_gap > 0 and head_gap > 0 and (dom_gap < tol or head_gap < tol):
-                    return True
-        return False
+        return any(gap < tol for _, gap in self._entries(parent_state))
 
 
 def _poss_pair_entry(

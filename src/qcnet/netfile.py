@@ -415,6 +415,14 @@ def _given(decl: LinkDecl, key: tuple) -> str:
     return "given " + ", ".join(f"{'' if pos else '~'}{p}" for pos, p in zip(key[1:], decl.parents))
 
 
+def _bel_cond1(cells, *parent_index) -> lc.BelCond1:
+    """A single-parent belief table from the cells keyed
+    ``(child_pos, *parent_index, cell)``; an absent cell is 0."""
+    return lc.BelCond1(
+        *(cells.get((child_pos, *parent_index, cell), 0.0) for child_pos in (True, False) for cell in lc.CELLS)
+    )
+
+
 def _build_table(decl, formalisms, conds, diags):
     child_form = formalisms[decl.child]
     if decl.separate and child_form is not BEL:
@@ -464,37 +472,19 @@ def _build_table(decl, formalisms, conds, diags):
         cells = _collect_cells(decl, conds, diags, frames_ok=True, one_parent_per_cond=True)
         if cells is None:
             return None
-        tables = []
-        for idx in range(2):
-            try:
-                tables.append(
-                    lc.BelCond1(
-                        bel_c_given_a=cells.get((True, idx, True), 0.0),
-                        bel_c_given_na=cells.get((True, idx, False), 0.0),
-                        bel_c_given_frame=cells.get((True, idx, None), 0.0),
-                        bel_nc_given_a=cells.get((False, idx, True), 0.0),
-                        bel_nc_given_na=cells.get((False, idx, False), 0.0),
-                        bel_nc_given_frame=cells.get((False, idx, None), 0.0),
-                    )
-                )
-            except ValueError as exc:
-                diags.append(Diagnostic(decl.line, 1, str(exc)))
-                return None
-        return lc.BelCond2Separate(tables[0], tables[1])
+        try:
+            tables = [_bel_cond1(cells, idx) for idx in range(2)]
+        except ValueError as exc:
+            diags.append(Diagnostic(decl.line, 1, str(exc)))
+            return None
+        return lc.BelCond2Separate(*tables)
 
     cells = _collect_cells(decl, conds, diags, frames_ok=True)
     if cells is None:
         return None
     try:
         if len(decl.parents) == 1:
-            return lc.BelCond1(
-                bel_c_given_a=cells.get((True, True), 0.0),
-                bel_c_given_na=cells.get((True, False), 0.0),
-                bel_c_given_frame=cells.get((True, None), 0.0),
-                bel_nc_given_a=cells.get((False, True), 0.0),
-                bel_nc_given_na=cells.get((False, False), 0.0),
-                bel_nc_given_frame=cells.get((False, None), 0.0),
-            )
+            return _bel_cond1(cells)
         return lc.BelCond2Joint.from_values(
             {(cp, ca, cb): v for (cp, ca, cb), v in cells.items()}
         )

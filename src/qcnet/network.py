@@ -16,12 +16,12 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .links import BEL, IGNORANT, POSS, PROB, ConditionalTable, Formalism, PossState
 from .signs import (
+    NEG,
     NEG_ZERO,
     POS,
     POS_ZERO,
     QMatrix,
     QSign,
-    QVector,
     UNKNOWN,
     ZERO,
     qadd,
@@ -371,12 +371,9 @@ def complete_change(
             f"evidence {delta_x} on {var.name!r} is inconsistent with its prior"
         )
 
-    derived = ZERO
-    first = True
-    for s in sorted(clipped.signs(), reverse=True):
-        row = _completion_row(var, QSign.from_signs([s]))
-        derived = row if first else derived.union(row)
-        first = False
+    derived = functools.reduce(
+        QSign.union, (_completion_row(var, s) for s in (POS, ZERO, NEG) if s.issubset(clipped))
+    )
 
     if delta_nx is None:
         return clipped, derived
@@ -524,7 +521,7 @@ def _walk(
             for p, b in zip(parents, bridged):
                 change = changes.get(p, ZERO_CHANGE)
                 incoming.extend(_widen(change, zero_strict_bridge) if b else change)
-            terms = qmatvec_terms(matrix, QVector(tuple(incoming)))
+            terms = qmatvec_terms(matrix, tuple(incoming))
             total = (qsum(terms[0]), qsum(terms[1]))
             # each parent's contribution sums its own two columns' terms
             for idx, p in enumerate(parents):

@@ -91,16 +91,6 @@ class QSign:
     def is_marker(self) -> bool:
         return self.code > _ALL
 
-    @property
-    def is_sign_set(self) -> bool:
-        return self.code <= _ALL
-
-    def signs(self) -> frozenset[int]:
-        """Member base signs as ints (+1, 0, -1). Markers have none."""
-        if self.is_marker:
-            raise ValueError("markers do not denote a set of signs")
-        return _members(self.code)
-
     def contains(self, sign: int) -> bool:
         """Whether a base sign (+1, 0 or -1) is a possible direction."""
         if self.is_marker:
@@ -156,13 +146,6 @@ class QSign:
         except KeyError:
             raise ValueError(f"unknown sign token {text!r}") from None
 
-    @staticmethod
-    def from_signs(signs: Iterable[int]) -> "QSign":
-        mask = 0
-        for s in signs:
-            mask |= _BIT_OF_SIGN[s]
-        return QSign(mask)
-
     def __str__(self) -> str:
         return self.token()
 
@@ -188,8 +171,6 @@ UNKNOWN = QSign(_ALL)
 UP = QSign(_UP)
 DOWN = QSign(_DOWN)
 
-#: The four values the canonical arithmetic tables are stated over.
-CANONICAL = (POS, ZERO, NEG, UNKNOWN)
 #: Every sign-set value (no markers).
 SIGN_SETS = tuple(QSign(code) for code in range(1, 8))
 
@@ -293,30 +274,6 @@ def qsum(values: Iterable[QSign]) -> QSign:
 
 
 @dataclass(frozen=True, slots=True)
-class QVector:
-    """An ordered vector of change values, indexed by variable outcome."""
-
-    entries: tuple[QSign, ...]
-
-    def __post_init__(self) -> None:
-        for e in self.entries:
-            if e.is_marker:
-                raise ValueError("change vectors cannot contain markers")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> QSign:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(e.token() for e in self.entries) + ")"
-
-
-@dataclass(frozen=True, slots=True)
 class QMatrix:
     """A matrix of qualitative derivatives.
 
@@ -344,19 +301,12 @@ class QMatrix:
         return "[" + "; ".join(" ".join(e.token() for e in row) for row in self.rows) + "]"
 
 
-def qmatvec_terms(m: QMatrix, v: QVector) -> tuple[tuple[QSign, ...], ...]:
-    """The products ``qmul(v[j], m[i][j])``, row by row, that :func:`qmatvec` sums."""
+def qmatvec_terms(m: QMatrix, v: tuple[QSign, ...]) -> tuple[tuple[QSign, ...], ...]:
+    """The products ``qmul(v[j], m[i][j])``, row by row, of a tuple of
+    changes through a derivative matrix; ``qsum`` of row i is the change
+    the matrix sends to child outcome i."""
     n_cols = len(m.rows[0])
     if n_cols != len(v):
         raise ValueError(f"dimension mismatch: matrix has {n_cols} columns, vector {len(v)} entries")
-    products = [_MUL[e.code] for e in v.entries]
+    products = [_MUL[e.code] for e in v]
     return tuple(tuple([_SIGN_OF_CODE[p[d.code]] for p, d in zip(products, row)]) for row in m.rows)
-
-
-def qmatvec(m: QMatrix, v: QVector) -> QVector:
-    """Multiply a change vector through a derivative matrix.
-
-    Entry i folds ``qmul(v[j], m[i][j])`` over j with qualitative addition;
-    an empty fold is a zero change.
-    """
-    return QVector(tuple(qsum(row) for row in qmatvec_terms(m, v)))

@@ -4,7 +4,7 @@ independent numeric oracles (total probability, sup-min, mass sums)."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -49,6 +49,34 @@ def pair_probability(cond: ProbCond2, p_b: float, p_c: float) -> float:
 
 def sup_min1(cond: PossCond1, child_pos: bool, pi_a: float, pi_na: float) -> float:
     return max(min(cond.get(child_pos, True), pi_a), min(cond.get(child_pos, False), pi_na))
+
+
+def separate_rules_entry(cond_y: float, cond_ny: float, pi_y: float, pi_ny: float):
+    """A single-parent possibility entry decided by comparisons."""
+    dominant = min(cond_y, pi_y) > min(cond_ny, pi_ny)
+    headroom = pi_y < cond_y
+    if dominant and headroom:
+        return POS
+    if headroom:
+        return UP
+    if dominant:
+        return DOWN
+    return ZERO
+
+
+def separate_rules_degenerate(cond: PossCond1, state: PossState, tol: float) -> bool:
+    """Single-parent degeneracy decided by gaps, apart from the entries."""
+    for child_pos in (True, False):
+        for parent_pos in (True, False):
+            c_y = cond.get(child_pos, parent_pos)
+            c_ny = cond.get(child_pos, not parent_pos)
+            pi_y = state.get(parent_pos)
+            pi_ny = state.get(not parent_pos)
+            dom_gap = min(c_y, pi_y) - min(c_ny, pi_ny)
+            head_gap = c_y - pi_y
+            if dom_gap > 0 and head_gap > 0 and (dom_gap < tol or head_gap < tol):
+                return True
+    return False
 
 
 def mass_sum(cond: BelCond1, bel_a: float, bel_na: float) -> float:
@@ -150,6 +178,33 @@ class TestPossLink:
             for row in m.rows:
                 for e in row:
                     assert e in (POS, ZERO, UP, DOWN)
+
+    # a few round values make ties and exact gaps common
+    poss_values = st.one_of(st.sampled_from((0.0, 0.2, 0.5, 0.7, 1.0)), unit)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.tuples(poss_values, poss_values, poss_values, poss_values),
+        poss_values,
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=0.6),
+    )
+    def test_entries_and_degeneracy_match_separate_rules(self, values, u, x_at_one, tol):
+        cond = PossCond1(*values)
+        state = PossState(1.0, u) if x_at_one else PossState(u, 1.0)
+        expected = tuple(
+            tuple(
+                separate_rules_entry(
+                    cond.get(child_pos, parent_pos), cond.get(child_pos, not parent_pos),
+                    state.get(parent_pos), state.get(not parent_pos),
+                )
+                for parent_pos in (True, False)
+            )
+            for child_pos in (True, False)
+        )
+        assert cond.derivative(state).rows == expected
+        assert cond.degenerate(state, tol) == separate_rules_degenerate(cond, state, tol)
+        assert cond.degenerate(state) == separate_rules_degenerate(cond, state, 1e-9)
 
 
 # -- belief, single parent ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Network validation, evidence completion, bridging and propagation."""
 
+import functools
 import random
 
 import pytest
@@ -25,9 +26,11 @@ from qcnet.signs import (
     NEG_ZERO,
     POS,
     POS_ZERO,
+    SIGN_SETS,
     UNKNOWN,
     UP,
     ZERO,
+    QSign,
     sign_of,
 )
 
@@ -214,6 +217,38 @@ class TestCompleteChange:
     def test_markers_rejected(self):
         with pytest.raises(EvidenceError):
             complete_change(Variable("a", PROB), UP)
+
+    @staticmethod
+    def union_of_singletons(var, given):
+        """A set of directions completes as the union of its feasible
+        singletons' completions; with none feasible it is rejected."""
+        completed = []
+        for s in (POS, ZERO, NEG):
+            if s.issubset(given):
+                try:
+                    completed.append(complete_change(var, s))
+                except EvidenceError:
+                    pass
+        if not completed:
+            raise EvidenceError("no feasible direction")
+        return tuple(functools.reduce(QSign.union, side) for side in zip(*completed))
+
+    @pytest.mark.parametrize(
+        "formalism,prior",
+        [(PROB, p) for p in (None, (0.3, 0.7), (1.0, 0.0), (0.0, 1.0))]
+        + [(POSS, p) for p in (None, (1.0, 0.4), (0.4, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))]
+        + [(BEL, p) for p in (None, (0.4, 0.3), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))],
+    )
+    def test_every_evidence_value_completes_as_union_of_singletons(self, formalism, prior):
+        var = Variable("a", formalism, prior)
+        for given in SIGN_SETS:
+            try:
+                expected = self.union_of_singletons(var, given)
+            except EvidenceError:
+                with pytest.raises(EvidenceError):
+                    complete_change(var, given)
+                continue
+            assert complete_change(var, given) == expected, given
 
 
 class TestBridgeChange:
