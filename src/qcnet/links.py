@@ -20,7 +20,21 @@ package needs to know about its kind of link:
   tol)`` at each sampled state.
 * ``warnings()``: validation warnings about the numbers.
 
-:class:`ConditionalTable` gives the defaults.  The derivatives:
+:class:`ConditionalTable` gives the defaults, and states once the cell
+layout of every table that stores numbers.  Such a table defines
+``get(child_pos, *parent_cells)``.  From ``formalism`` and ``arity`` the
+base class works out, per class, its ``cell_keys``: the child outcomes
+(only the positive one for probability, whose complement is implied) by
+each parent's conditioning cells (outcome and complement, and for belief
+the whole frame too).  The constructor takes the values in that order
+(``from_cells``).  On that layout the base class range-checks every value
+and, for belief, each cell's sum over the child outcomes; labels sign and
+marker entries in its default ``cases``; and warns about possibility
+columns that do not reach 1.  A subclass states its fields, ``get``,
+``derivative``, ``evaluate``, ``margin`` or ``degenerate``, and its own
+``cases`` where an entry needs more than its sign.
+
+The derivatives:
 
 * probability: the child follows the parent outcome exactly when the
   conditional given that outcome exceeds the conditional given its
@@ -41,6 +55,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import ClassVar
 
 from .signs import DOWN, NEG, POS, QMatrix, QSign, UNKNOWN, UP, ZERO, qadd, sign_of
@@ -72,25 +87,19 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-class ConditionalTable:
-    """The table protocol (see the module docstring), with its defaults."""
-
-    formalism: ClassVar[Formalism]
-    arity: ClassVar[int]
-    state_dependent: ClassVar[bool] = False  # derivative and degeneracy read parent states
-    no_formula: ClassVar[str | None] = None  # why there is no ``evaluate``, if there is none
-
-    def margin(self) -> float:
-        """Smallest gap between two numbers of the table whose order decides
-        an entry; infinite when no entry is decided by the table alone."""
-        return math.inf
-
-    def warnings(self) -> tuple[str, ...]:
-        return ()
+_SYMBOL = {PROB: "p", POSS: "pi", BEL: "bel"}
 
 
-_TRICHOTOMY = {POS: "follows", NEG: "varies-inversely", ZERO: "independent"}
-_POSS_CASES = {POS: "follows", ZERO: "independent", UP: "may-follow-up", DOWN: "may-follow-down"}
+def _outcome(var: str, cell: Cell) -> str:
+    if cell is None:
+        return f"{var} or ~{var}"
+    return var if cell else f"~{var}"
+
+
+_CASES = {
+    POS: "follows", NEG: "varies-inversely", ZERO: "independent",
+    UP: "may-follow-up", DOWN: "may-follow-down",
+}
 
 
 def _label_cells(matrix: QMatrix, label) -> tuple[tuple[str, ...], ...]:
@@ -98,6 +107,82 @@ def _label_cells(matrix: QMatrix, label) -> tuple[tuple[str, ...], ...]:
     return tuple(
         tuple(label(i == 0, j, entry) for j, entry in enumerate(row)) for i, row in enumerate(matrix.rows)
     )
+
+
+class ConditionalTable:
+    """The table protocol, its defaults and the cell layout (see the module
+    docstring)."""
+
+    formalism: ClassVar[Formalism]
+    arity: ClassVar[int]
+    state_dependent: ClassVar[bool] = False  # derivative and degeneracy read parent states
+    no_formula: ClassVar[str | None] = None  # why there is no ``evaluate``, if there is none
+
+    # The cell layout, set for each subclass that defines ``get``.
+    child_outcomes: ClassVar[tuple[bool, ...]] = ()
+    parent_cells: ClassVar[tuple[Cell, ...]] = ()
+    cell_keys: ClassVar[tuple[tuple[Cell, ...], ...]] = ()  # (child_pos, *parent_cells), in order
+    _labels: ClassVar[tuple[str, ...]] = ()  # each key written out, e.g. 'p(c|a)'
+    _columns: ClassVar[tuple[tuple[tuple[Cell, ...], str], ...]] = ()  # parent cells, written out: 'b,~c'
+    _sum_error: ClassVar[str] = ""  # belief: a column's two values sum above 1
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if not hasattr(cls, "get"):
+            return
+        parents, child = (("a",), "c") if cls.arity == 1 else (("b", "c"), "d")
+        cls.child_outcomes = (True,) if cls.formalism is PROB else (True, False)
+        cls.parent_cells = CELLS if cls.formalism is BEL else (True, False)
+        columns = list(product(cls.parent_cells, repeat=cls.arity))
+        cls.cell_keys = tuple((pos, *cells) for pos in cls.child_outcomes for cells in columns)
+        cls._columns = tuple((cells, ",".join(map(_outcome, parents, cells))) for cells in columns)
+        cls._labels = tuple(
+            f"{_SYMBOL[cls.formalism]}({_outcome(child, pos)}|{given})"
+            for pos in cls.child_outcomes
+            for _, given in cls._columns
+        )
+        given = "." if cls.arity == 1 else "X,Y"
+        cls._sum_error = f"bel({child}|{given}) + bel(~{child}|{given}) must not exceed 1"
+
+    @classmethod
+    def from_cells(cls, values) -> "ConditionalTable":
+        """The table whose ``get`` over ``cell_keys`` returns ``values``."""
+        return cls(*values)
+
+    def __post_init__(self) -> None:
+        """Range-check every value; belief also checks each column's sum."""
+        if not self.cell_keys:
+            return
+        get = self.get
+        values = []
+        for key, label in zip(self.cell_keys, self._labels):
+            v = get(*key)
+            _check_unit(label, v)
+            values.append(v)
+        if self.formalism is BEL:
+            half = len(values) // 2  # the child outcome's row, then its complement's
+            for pos, neg in zip(values[:half], values[half:]):
+                if pos + neg > 1.0 + 1e-12:
+                    raise ValueError(self._sum_error)
+
+    def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(_CASES[entry] for entry in row) for row in matrix.rows)
+
+    def margin(self) -> float:
+        """Smallest gap between two numbers of the table whose order decides
+        an entry; infinite when no entry is decided by the table alone."""
+        return math.inf
+
+    def warnings(self) -> tuple[str, ...]:
+        """Possibility: conditioning columns whose values do not reach 1."""
+        if self.formalism is not POSS or not self.cell_keys:
+            return ()
+        get = self.get
+        return tuple([
+            f"conditional possibilities given {given} do not reach 1"
+            for cells, given in self._columns
+            if get(True, *cells) < 1.0 and get(False, *cells) < 1.0
+        ])
 
 
 @dataclass(frozen=True)
@@ -134,10 +219,6 @@ class ProbCond1(ConditionalTable):
     p_c_given_a: float
     p_c_given_na: float
 
-    def __post_init__(self) -> None:
-        _check_unit("p(c|a)", self.p_c_given_a)
-        _check_unit("p(c|~a)", self.p_c_given_na)
-
     def get(self, child_pos: bool, parent_pos: bool) -> float:
         p = self.p_c_given_a if parent_pos else self.p_c_given_na
         return p if child_pos else 1.0 - p
@@ -151,9 +232,6 @@ class ProbCond1(ConditionalTable):
         """
         s = sign_of(self.p_c_given_a - self.p_c_given_na)
         return QMatrix(((s, s.negated()), (s.negated(), s)))
-
-    def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return _label_cells(matrix, lambda child_pos, j, entry: _TRICHOTOMY[entry])
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Total probability."""
@@ -190,15 +268,6 @@ class ProbCond2(ConditionalTable):
     p_d_given_b_nc: float
     p_d_given_nb_c: float
     p_d_given_nb_nc: float
-
-    def __post_init__(self) -> None:
-        for name, v in (
-            ("p(d|b,c)", self.p_d_given_bc),
-            ("p(d|b,~c)", self.p_d_given_b_nc),
-            ("p(d|~b,c)", self.p_d_given_nb_c),
-            ("p(d|~b,~c)", self.p_d_given_nb_nc),
-        ):
-            _check_unit(name, v)
 
     def get(self, child_pos: bool, first_pos: bool, second_pos: bool) -> float:
         if first_pos:
@@ -292,27 +361,10 @@ class PossCond1(ConditionalTable):
     pi_nc_given_a: float
     pi_nc_given_na: float
 
-    def __post_init__(self) -> None:
-        for name, v in (
-            ("pi(c|a)", self.pi_c_given_a),
-            ("pi(c|~a)", self.pi_c_given_na),
-            ("pi(~c|a)", self.pi_nc_given_a),
-            ("pi(~c|~a)", self.pi_nc_given_na),
-        ):
-            _check_unit(name, v)
-
     def get(self, child_pos: bool, parent_pos: bool) -> float:
         if child_pos:
             return self.pi_c_given_a if parent_pos else self.pi_c_given_na
         return self.pi_nc_given_a if parent_pos else self.pi_nc_given_na
-
-    def warnings(self) -> tuple[str, ...]:
-        """Columns whose conditionals do not reach possibility 1."""
-        out = []
-        for parent_pos, label in ((True, "a"), (False, "~a")):
-            if max(self.get(True, parent_pos), self.get(False, parent_pos)) < 1.0:
-                out.append(f"conditional possibilities given {label} do not reach 1")
-        return tuple(out)
 
     def _entries(self, parent_state: PossState):
         """(entry, gap) of every matrix entry, row by row."""
@@ -335,9 +387,6 @@ class PossCond1(ConditionalTable):
         """
         entries = [entry for entry, _ in self._entries(parent_state)]
         return QMatrix((tuple(entries[:2]), tuple(entries[2:])))
-
-    def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return _label_cells(matrix, lambda child_pos, j, entry: _POSS_CASES[entry])
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Sup-min."""
@@ -418,19 +467,6 @@ class PossCond2(ConditionalTable):
     pi_nd_given_nb_c: float
     pi_nd_given_nb_nc: float
 
-    def __post_init__(self) -> None:
-        for name, v in (
-            ("pi(d|b,c)", self.pi_d_given_bc),
-            ("pi(d|b,~c)", self.pi_d_given_b_nc),
-            ("pi(d|~b,c)", self.pi_d_given_nb_c),
-            ("pi(d|~b,~c)", self.pi_d_given_nb_nc),
-            ("pi(~d|b,c)", self.pi_nd_given_bc),
-            ("pi(~d|b,~c)", self.pi_nd_given_b_nc),
-            ("pi(~d|~b,c)", self.pi_nd_given_nb_c),
-            ("pi(~d|~b,~c)", self.pi_nd_given_nb_nc),
-        ):
-            _check_unit(name, v)
-
     def get(self, child_pos: bool, first_pos: bool, second_pos: bool) -> float:
         if child_pos:
             if first_pos:
@@ -439,15 +475,6 @@ class PossCond2(ConditionalTable):
         if first_pos:
             return self.pi_nd_given_bc if second_pos else self.pi_nd_given_b_nc
         return self.pi_nd_given_nb_c if second_pos else self.pi_nd_given_nb_nc
-
-    def warnings(self) -> tuple[str, ...]:
-        out = []
-        for first_pos in (True, False):
-            for second_pos in (True, False):
-                if max(self.get(True, first_pos, second_pos), self.get(False, first_pos, second_pos)) < 1.0:
-                    label = f"{'b' if first_pos else '~b'},{'c' if second_pos else '~c'}"
-                    out.append(f"conditional possibilities given {label} do not reach 1")
-        return tuple(out)
 
     def _entries(self, state_x: PossState, state_y: PossState):
         """(entry, gap) of every matrix entry, row by row."""
@@ -467,9 +494,6 @@ class PossCond2(ConditionalTable):
         """
         entries = [entry for entry, _ in self._entries(state_x, state_y)]
         return QMatrix((tuple(entries[:4]), tuple(entries[4:])))
-
-    def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return _label_cells(matrix, lambda child_pos, j, entry: _POSS_CASES[entry])
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Sup-min."""
@@ -517,20 +541,6 @@ class BelCond1(ConditionalTable):
     bel_nc_given_na: float = 0.0
     bel_nc_given_frame: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name, v in (
-            ("bel(c|a)", self.bel_c_given_a),
-            ("bel(c|~a)", self.bel_c_given_na),
-            ("bel(c|a or ~a)", self.bel_c_given_frame),
-            ("bel(~c|a)", self.bel_nc_given_a),
-            ("bel(~c|~a)", self.bel_nc_given_na),
-            ("bel(~c|a or ~a)", self.bel_nc_given_frame),
-        ):
-            _check_unit(name, v)
-        for cell in CELLS:
-            if self.get(True, cell) + self.get(False, cell) > 1.0 + 1e-12:
-                raise ValueError("bel(c|.) + bel(~c|.) must not exceed 1")
-
     def get(self, child_pos: bool, cell: Cell) -> float:
         if child_pos:
             if cell is None:
@@ -551,9 +561,6 @@ class BelCond1(ConditionalTable):
             rows.append(tuple(row))
         return QMatrix(tuple(rows))
 
-    def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return _label_cells(matrix, lambda child_pos, j, entry: _TRICHOTOMY[entry])
-
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Mass-weighted sums over the outcome, its complement and the frame."""
         a, na = parent_values[0]
@@ -571,10 +578,6 @@ class BelCond1(ConditionalTable):
         return m
 
 
-def _joint_key(child_pos: bool, first: Cell, second: Cell) -> int:
-    return (CELLS.index(first) * 3 + CELLS.index(second)) + (0 if child_pos else 9)
-
-
 def _masses(pair: Pair) -> tuple[float, float, float]:
     b, d = pair
     return b, d, 1.0 - b - d
@@ -583,7 +586,7 @@ def _masses(pair: Pair) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class BelCond2Joint(ConditionalTable):
     """Joint conditional beliefs bel(z | X, Y) over 9 conditioning cells per
-    child outcome. Unlisted cells default to belief 0."""
+    child outcome, as one tuple in ``cell_keys`` order."""
 
     formalism = BEL
     arity = 2
@@ -593,22 +596,14 @@ class BelCond2Joint(ConditionalTable):
     def __post_init__(self) -> None:
         if len(self.cells) != 18:
             raise ValueError("expected 18 conditional beliefs")
-        for v in self.cells:
-            _check_unit("conditional belief", v)
-        for first in CELLS:
-            for second in CELLS:
-                if self.get(True, first, second) + self.get(False, first, second) > 1.0 + 1e-12:
-                    raise ValueError("bel(d|X,Y) + bel(~d|X,Y) must not exceed 1")
+        super().__post_init__()
 
     @classmethod
-    def from_values(cls, values: dict[tuple[bool, Cell, Cell], float]) -> "BelCond2Joint":
-        cells = [0.0] * 18
-        for (child_pos, first, second), v in values.items():
-            cells[_joint_key(child_pos, first, second)] = v
-        return cls(tuple(cells))
+    def from_cells(cls, values) -> "BelCond2Joint":
+        return cls(tuple(values))
 
     def get(self, child_pos: bool, first: Cell, second: Cell) -> float:
-        return self.cells[_joint_key(child_pos, first, second)]
+        return self.cells[_JOINT_INDEX[child_pos, first, second]]
 
     def _diffs(self, child_pos: bool, x_first: bool, x_pos: bool) -> tuple[float, float, float]:
         """bel(z | x, Y) - bel(z | frame, Y) over the co-parent cells Y."""
@@ -661,6 +656,9 @@ class BelCond2Joint(ConditionalTable):
                     for diff in self._diffs(child_pos, x_first, x_pos):
                         m = min(m, abs(diff))
         return m
+
+
+_JOINT_INDEX = {key: i for i, key in enumerate(BelCond2Joint.cell_keys)}
 
 
 @dataclass(frozen=True)

@@ -397,7 +397,8 @@ def _collect_cells(
     return cells if ok else None
 
 
-def _prob_value(cells: dict, key_pos: tuple, key_neg: tuple, decl: LinkDecl, diags: list[Diagnostic]) -> float | None:
+def _prob_value(cells: dict, key_pos: tuple, decl: LinkDecl, diags: list[Diagnostic]) -> float | None:
+    key_neg = (False, *key_pos[1:])
     has_pos, has_neg = key_pos in cells, key_neg in cells
     if has_pos and has_neg and abs(cells[key_pos] + cells[key_neg] - 1.0) > 1e-9:
         diags.append(Diagnostic(decl.line, 1, f"probability conditionals {_given(decl, key_pos)} do not sum to 1"))
@@ -415,12 +416,31 @@ def _given(decl: LinkDecl, key: tuple) -> str:
     return "given " + ", ".join(f"{'' if pos else '~'}{p}" for pos, p in zip(key[1:], decl.parents))
 
 
-def _bel_cond1(cells, *parent_index) -> lc.BelCond1:
-    """A single-parent belief table from the cells keyed
-    ``(child_pos, *parent_index, cell)``; an absent cell is 0."""
-    return lc.BelCond1(
-        *(cells.get((child_pos, *parent_index, cell), 0.0) for child_pos in (True, False) for cell in lc.CELLS)
-    )
+_TABLES = {
+    (PROB, 1): lc.ProbCond1, (PROB, 2): lc.ProbCond2,
+    (POSS, 1): lc.PossCond1, (POSS, 2): lc.PossCond2,
+    (BEL, 1): lc.BelCond1, (BEL, 2): lc.BelCond2Joint,
+}
+
+
+def _layout_values(cls, cells: dict, decl: LinkDecl, diags: list[Diagnostic], index: tuple = ()) -> list | None:
+    """The values of a ``cls`` table in its layout order, each read from the
+    cell keyed ``(child_pos, *index, *parent_cells)`` by the formalism's rule:
+    a probability is stated or 1 minus its stated complement, a possibility
+    is required, and a missing belief is 0.  None after a diagnostic."""
+    values = []
+    for child_pos, *parent_cells in cls.cell_keys:
+        key = (child_pos, *index, *parent_cells)
+        if cls.formalism is PROB:
+            values.append(_prob_value(cells, key, decl, diags))
+        elif cls.formalism is POSS:
+            if key not in cells:
+                diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional for {decl.child!r} (cell {key})"))
+                return None
+            values.append(cells[key])
+        else:
+            values.append(cells.get(key, 0.0))
+    return None if None in values else values
 
 
 def _build_table(decl, formalisms, conds, diags):
@@ -428,66 +448,17 @@ def _build_table(decl, formalisms, conds, diags):
     if decl.separate and child_form is not BEL:
         diags.append(Diagnostic(decl.line, 1, "'separate' tables are only defined for belief links"))
         return None
-
-    if child_form is PROB:
-        cells = _collect_cells(decl, conds, diags, frames_ok=False)
-        if cells is None:
-            return None
-        if len(decl.parents) == 1:
-            values = [_prob_value(cells, (True, pp), (False, pp), decl, diags) for pp in (True, False)]
-            if None in values:
-                return None
-            return lc.ProbCond1(*values)
-        values = [
-            _prob_value(cells, (True, bp, cp), (False, bp, cp), decl, diags)
-            for bp in (True, False)
-            for cp in (True, False)
-        ]
-        if None in values:
-            return None
-        return lc.ProbCond2(*values)
-
-    if child_form is POSS:
-        cells = _collect_cells(decl, conds, diags, frames_ok=False)
-        if cells is None:
-            return None
-        keys: list[tuple]
-        if len(decl.parents) == 1:
-            keys = [(cp, pp) for cp in (True, False) for pp in (True, False)]
-        else:
-            keys = [(cp, bp, sp) for cp in (True, False) for bp in (True, False) for sp in (True, False)]
-        values = []
-        for key in keys:
-            if key not in cells:
-                diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional for {decl.child!r} (cell {key})"))
-                return None
-            values.append(cells[key])
-        if len(decl.parents) == 1:
-            # key order: (c,a), (c,~a), (~c,a), (~c,~a)
-            return lc.PossCond1(values[0], values[1], values[2], values[3])
-        return lc.PossCond2(*values)
-
-    # belief
-    if decl.separate:
-        cells = _collect_cells(decl, conds, diags, frames_ok=True, one_parent_per_cond=True)
-        if cells is None:
-            return None
-        try:
-            tables = [_bel_cond1(cells, idx) for idx in range(2)]
-        except ValueError as exc:
-            diags.append(Diagnostic(decl.line, 1, str(exc)))
-            return None
-        return lc.BelCond2Separate(*tables)
-
-    cells = _collect_cells(decl, conds, diags, frames_ok=True)
+    cells = _collect_cells(decl, conds, diags, frames_ok=child_form is BEL, one_parent_per_cond=decl.separate)
     if cells is None:
         return None
     try:
-        if len(decl.parents) == 1:
-            return _bel_cond1(cells)
-        return lc.BelCond2Joint.from_values(
-            {(cp, ca, cb): v for (cp, ca, cb), v in cells.items()}
-        )
+        if decl.separate:
+            return lc.BelCond2Separate(
+                *(lc.BelCond1.from_cells(_layout_values(lc.BelCond1, cells, decl, diags, (idx,))) for idx in range(2))
+            )
+        cls = _TABLES[child_form, len(decl.parents)]
+        values = _layout_values(cls, cells, decl, diags)
+        return None if values is None else cls.from_cells(values)
     except ValueError as exc:
         diags.append(Diagnostic(decl.line, 1, str(exc)))
         return None

@@ -135,6 +135,8 @@ class Network:
 
     def descendants(self, name: str) -> set[str]:
         """All variables reachable from ``name`` through links, inclusive."""
+        if name not in self.variables:
+            raise NetworkError(f"unknown variable {name!r}")
         children = self.compiled.children
         out = {name}
         todo = [name]

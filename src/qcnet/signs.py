@@ -308,5 +308,8 @@ def qmatvec_terms(m: QMatrix, v: tuple[QSign, ...]) -> tuple[tuple[QSign, ...], 
     n_cols = len(m.rows[0])
     if n_cols != len(v):
         raise ValueError(f"dimension mismatch: matrix has {n_cols} columns, vector {len(v)} entries")
-    products = [_MUL[e.code] for e in v]
+    try:
+        products = [_MUL[e.code] for e in v]
+    except IndexError:
+        raise ValueError("the change operand cannot be a marker") from None
     return tuple(tuple([_SIGN_OF_CODE[p[d.code]] for p, d in zip(products, row)]) for row in m.rows)

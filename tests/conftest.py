@@ -81,7 +81,7 @@ def rand_bel_cond2(rng: random.Random, margin: float = MARGIN) -> BelCond2Joint:
                 pos, neg = _rand_bel_pair(rng)
                 values[(True, ca, cb)] = pos
                 values[(False, ca, cb)] = neg
-        t = BelCond2Joint.from_values(values)
+        t = BelCond2Joint.from_cells(values[key] for key in BelCond2Joint.cell_keys)
         if t.margin() >= margin:
             return t
 

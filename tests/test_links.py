@@ -1,7 +1,9 @@
 """Link derivatives: worked examples, then containment against small
 independent numeric oracles (total probability, sup-min, mass sums)."""
 
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,9 @@ from conftest import (
     rand_prob_cond2,
 )
 from qcnet.links import (
+    BEL,
+    CELLS,
+    PROB,
     BelCond1,
     BelCond2Joint,
     BelCond2Separate,
@@ -31,6 +36,100 @@ EPS = 1e-4
 TOL = 1e-12
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+# -- the cell layout -----------------------------------------------------------
+
+VALUE_TABLES = (ProbCond1, ProbCond2, PossCond1, PossCond2, BelCond1, BelCond2Joint)
+
+
+def construct(cls, values):
+    """A table from its constructor's positional arguments."""
+    return cls(tuple(values)) if cls is BelCond2Joint else cls(*values)
+
+
+# each value's range-error label, in constructor order; the sum errors reach
+# netfile diagnostics word for word
+RANGE_LABELS = {
+    ProbCond1: ("p(c|a)", "p(c|~a)"),
+    ProbCond2: ("p(d|b,c)", "p(d|b,~c)", "p(d|~b,c)", "p(d|~b,~c)"),
+    PossCond1: ("pi(c|a)", "pi(c|~a)", "pi(~c|a)", "pi(~c|~a)"),
+    PossCond2: (
+        "pi(d|b,c)", "pi(d|b,~c)", "pi(d|~b,c)", "pi(d|~b,~c)",
+        "pi(~d|b,c)", "pi(~d|b,~c)", "pi(~d|~b,c)", "pi(~d|~b,~c)",
+    ),
+    BelCond1: ("bel(c|a)", "bel(c|~a)", "bel(c|a or ~a)", "bel(~c|a)", "bel(~c|~a)", "bel(~c|a or ~a)"),
+    BelCond2Joint: (
+        "bel(d|b,c)", "bel(d|b,~c)", "bel(d|b,c or ~c)",
+        "bel(d|~b,c)", "bel(d|~b,~c)", "bel(d|~b,c or ~c)",
+        "bel(d|b or ~b,c)", "bel(d|b or ~b,~c)", "bel(d|b or ~b,c or ~c)",
+        "bel(~d|b,c)", "bel(~d|b,~c)", "bel(~d|b,c or ~c)",
+        "bel(~d|~b,c)", "bel(~d|~b,~c)", "bel(~d|~b,c or ~c)",
+        "bel(~d|b or ~b,c)", "bel(~d|b or ~b,~c)", "bel(~d|b or ~b,c or ~c)",
+    ),
+}
+SUM_ERRORS = {
+    BelCond1: "bel(c|.) + bel(~c|.) must not exceed 1",
+    BelCond2Joint: "bel(d|X,Y) + bel(~d|X,Y) must not exceed 1",
+}
+
+
+class TestCellLayout:
+    @pytest.mark.parametrize("cls", VALUE_TABLES, ids=lambda c: c.__name__)
+    def test_get_over_layout_returns_constructor_arguments(self, cls):
+        assert cls.child_outcomes == ((True,) if cls.formalism is PROB else (True, False))
+        assert cls.parent_cells == (CELLS if cls.formalism is BEL else (True, False))
+        assert cls.cell_keys == tuple(product(cls.child_outcomes, *[cls.parent_cells] * cls.arity))
+        values = [0.01 * (i + 1) for i in range(len(cls.cell_keys))]
+        for table in (construct(cls, values), cls.from_cells(values)):
+            assert [table.get(*key) for key in cls.cell_keys] == values
+        assert construct(cls, values) == cls.from_cells(values)
+
+    @pytest.mark.parametrize(
+        "cls, index, label",
+        [(cls, i, label) for cls, labels in RANGE_LABELS.items() for i, label in enumerate(labels)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_range_error_messages(self, cls, index, label):
+        assert len(RANGE_LABELS[cls]) == len(cls.cell_keys)
+        for bad in (1.5, -0.5, math.nan):
+            values = [0.25] * len(cls.cell_keys)
+            values[index] = bad
+            with pytest.raises(ValueError) as exc:
+                construct(cls, values)
+            assert str(exc.value) == f"{label} must lie in [0, 1], got {bad!r}"
+
+    @pytest.mark.parametrize(
+        "cls, cells",
+        [(cls, cells) for cls in SUM_ERRORS for cells in product(CELLS, repeat=cls.arity)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_sum_error_messages(self, cls, cells):
+        values = [0.25] * len(cls.cell_keys)
+        for child_pos in (True, False):
+            values[cls.cell_keys.index((child_pos, *cells))] = 0.6
+        with pytest.raises(ValueError) as exc:
+            construct(cls, values)
+        assert str(exc.value) == SUM_ERRORS[cls]
+
+    def test_joint_table_length_error(self):
+        with pytest.raises(ValueError) as exc:
+            BelCond2Joint((0.0,) * 17)
+        assert str(exc.value) == "expected 18 conditional beliefs"
+
+    @pytest.mark.parametrize("cls, columns", [
+        (PossCond1, ("a", "~a")),
+        (PossCond2, ("b,c", "b,~c", "~b,c", "~b,~c")),
+    ], ids=["PossCond1", "PossCond2"])
+    def test_possibility_warnings_name_each_column(self, cls, columns):
+        assert construct(cls, [1.0] * len(cls.cell_keys)).warnings() == ()
+        for cells, given in zip(product((True, False), repeat=cls.arity), columns):
+            values = [0.5 if key[1:] == cells else 1.0 for key in cls.cell_keys]
+            assert construct(cls, values).warnings() == (f"conditional possibilities given {given} do not reach 1",)
+
+    @pytest.mark.parametrize("cls", (ProbCond1, BelCond1), ids=lambda c: c.__name__)
+    def test_no_warnings_outside_possibility(self, cls):
+        assert construct(cls, [0.0] * len(cls.cell_keys)).warnings() == ()
 
 
 # -- independent oracles -----------------------------------------------------
@@ -344,8 +443,13 @@ class TestPossPair:
 
 # -- belief, two parents -----------------------------------------------------
 
+def bel_joint(values: dict) -> BelCond2Joint:
+    """A joint belief table from the cells ``values`` lists; the others are 0."""
+    return BelCond2Joint.from_cells(values.get(key, 0.0) for key in BelCond2Joint.cell_keys)
+
+
 def pain_table() -> BelCond2Joint:
-    return BelCond2Joint.from_values({
+    return bel_joint({
         (True, True, True): 0.9,    # bel(p | k, a)
         (True, True, False): 0.7,   # bel(p | k, ~a)
         (True, False, True): 0.7,   # bel(p | ~k, a)
@@ -368,7 +472,7 @@ class TestBelPairJoint:
         assert m[1][3] == POS   # bel(~p) follows bel(~a)
 
     def test_all_zero_table(self):
-        m = BelCond2Joint.from_values({}).derivative()
+        m = bel_joint({}).derivative()
         assert all(e == ZERO for row in m.rows for e in row)
 
     def test_finite_difference_containment(self):
@@ -399,7 +503,7 @@ class TestParentSwapStability:
         cells = (True, False, None)
         for _ in range(50):
             cond = rand_bel_cond2(rng)
-            swapped = BelCond2Joint.from_values(
+            swapped = bel_joint(
                 {
                     (cp, cb, ca): cond.get(cp, ca, cb)
                     for cp in (True, False)

@@ -910,8 +910,8 @@ def ref_build_table(decl, formalisms, conds, diags):
                 bel_nc_given_na=cells.get((False, False), 0.0),
                 bel_nc_given_frame=cells.get((False, None), 0.0),
             )
-        return lc.BelCond2Joint.from_values(
-            {(cp, ca, cb): v for (cp, ca, cb), v in cells.items()}
+        return lc.BelCond2Joint(
+            tuple(cells.get((cp, ca, cb), 0.0) for cp in (True, False) for ca in lc.CELLS for cb in lc.CELLS)
         )
     except ValueError as exc:
         diags.append(Diagnostic(decl.line, 1, str(exc)))

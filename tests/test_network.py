@@ -391,6 +391,10 @@ class TestLatticeInvariants:
             if name not in downstream:
                 assert report.changes[name] == Z
 
+    def test_descendants_of_unknown_variable(self, medical_net):
+        with pytest.raises(NetworkError, match="unknown variable 'zzz'"):
+            medical_net.descendants("zzz")
+
     def test_idempotent_zero(self):
         rng = random.Random(43)
         for _ in range(25):

@@ -325,6 +325,8 @@ class TestLookupTables:
                     qmul(marker, other)
             with pytest.raises(ValueError, match="undefined for markers"):
                 qsum((POS, marker))
+            with pytest.raises(ValueError, match="cannot be a marker"):
+                qmatvec_terms(QMatrix(((POS,),)), (marker,))
 
     def test_values_are_interned(self):
         for s in (*SIGN_SETS, UP, DOWN):
