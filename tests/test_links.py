@@ -441,6 +441,111 @@ class TestPossPair:
                     assert e in (POS, ZERO, UP, DOWN)
 
 
+# -- possibility entries against the per-entry rules -------------------------
+
+def ref_poss_entry_1(cond_y, cond_ny, pi_y, pi_ny):
+    """``links._poss_entry_1`` as it was when each entry read its own numbers."""
+    dom_gap = min(cond_y, pi_y) - min(cond_ny, pi_ny)
+    head_gap = cond_y - pi_y
+    if dom_gap > 0 and head_gap > 0:
+        return POS, min(dom_gap, head_gap)
+    if head_gap > 0:
+        return UP, math.inf
+    if dom_gap > 0:
+        return DOWN, math.inf
+    return ZERO, math.inf
+
+
+def ref_poss_pair_entry(cond, child_pos, x_first, x_pos, state_x, state_y):
+    """``links._poss_pair_entry`` as it was when each entry recomputed its joints."""
+    def c(xv, yv):
+        return cond.get(child_pos, xv, yv) if x_first else cond.get(child_pos, yv, xv)
+
+    def joint(xv, yv):
+        return min(c(xv, yv), state_x.get(xv), state_y.get(yv))
+
+    pi_x = state_x.get(x_pos)
+    follows = up = down = False
+    gap = math.inf
+    pinned = [joint(not x_pos, True), joint(not x_pos, False)]
+    for y_pos in (True, False):
+        mine = joint(x_pos, y_pos)
+        dom_gap = mine - max(joint(not x_pos, y_pos), joint(x_pos, not y_pos), joint(not x_pos, not y_pos))
+        head_gap = min(c(x_pos, y_pos), state_y.get(y_pos)) - pi_x
+        if dom_gap > 0 and head_gap > 0:
+            follows = True
+            gap = min(gap, dom_gap, head_gap)
+        elif head_gap > 0:
+            up = True
+        else:
+            pinned.append(mine)
+            down = down or dom_gap > 0
+    if follows:
+        return POS, gap
+    if up:
+        return UP, max(pinned) - pi_x
+    return (DOWN if down else ZERO), math.inf
+
+
+def ref_poss_entries_1(cond, state):
+    return [
+        ref_poss_entry_1(
+            cond.get(child_pos, parent_pos), cond.get(child_pos, not parent_pos),
+            state.get(parent_pos), state.get(not parent_pos),
+        )
+        for child_pos in (True, False)
+        for parent_pos in (True, False)
+    ]
+
+
+def ref_poss_entries_2(cond, sx, sy):
+    return [
+        ref_poss_pair_entry(cond, child_pos, x_first, x_pos, *((sx, sy) if x_first else (sy, sx)))
+        for child_pos in (True, False)
+        for x_first in (True, False)
+        for x_pos in (True, False)
+    ]
+
+
+# grid values make ties between table values, states and gaps common
+GRID = tuple(i / 10 for i in range(11))
+grid_or_unit = st.one_of(st.sampled_from(GRID), unit)
+
+
+@st.composite
+def poss_states(draw):
+    u = draw(grid_or_unit)
+    return PossState(1.0, u) if draw(st.booleans()) else PossState(u, 1.0)
+
+
+# the default, zero, and gaps a grid can produce exactly or nearly
+TOLERANCES = (1e-9, 0.0, 0.1, 0.2, 0.3 - 1e-12, 0.5, 1.0)
+
+
+class TestPossEntriesMatchPerEntryRules:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(grid_or_unit, min_size=4, max_size=4), poss_states())
+    def test_single_parent(self, values, state):
+        cond = PossCond1(*values)
+        want = ref_poss_entries_1(cond, state)
+        rows = tuple(entry for entry, _ in want)
+        assert cond.derivative(state).rows == (rows[:2], rows[2:])
+        for tol in TOLERANCES:
+            assert cond.degenerate(state, tol) == any(gap < tol for _, gap in want)
+        assert cond.degenerate(state) == any(gap < 1e-9 for _, gap in want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(grid_or_unit, min_size=8, max_size=8), poss_states(), poss_states())
+    def test_two_parents(self, values, sx, sy):
+        cond = PossCond2(*values)
+        want = ref_poss_entries_2(cond, sx, sy)
+        rows = tuple(entry for entry, _ in want)
+        assert cond.derivative(sx, sy).rows == (rows[:4], rows[4:])
+        for tol in TOLERANCES:
+            assert cond.degenerate(sx, sy, tol) == any(gap < tol for _, gap in want)
+        assert cond.degenerate(sx, sy) == any(gap < 1e-9 for _, gap in want)
+
+
 # -- belief, two parents -----------------------------------------------------
 
 def bel_joint(values: dict) -> BelCond2Joint:

@@ -233,6 +233,76 @@ class TestBuild:
         assert any("must not exceed 1" in d.message for d in diags)
 
 
+class TestRecords:
+    """What the declaration records promise: immutable values that compare
+    and hash by everything but their line, and print as before."""
+
+    LINED = (
+        (NodeDecl("a", "prob", 3), NodeDecl("a", "prob", 9), NodeDecl("a", "bel", 3)),
+        (PriorDecl("a", 0.5, 0.5, 3), PriorDecl("a", 0.5, 0.5), PriorDecl("a", 0.5, 0.25, 3)),
+        (LinkDecl(("a",), "c", False, 3), LinkDecl(("a",), "c"), LinkDecl(("a",), "c", True, 3)),
+        (
+            CondDecl(Outcome("c", POS_OUT), (Outcome("a", NEG_OUT),), 0.5, 3),
+            CondDecl(Outcome("c", POS_OUT), (Outcome("a", NEG_OUT),), 0.5, 4),
+            CondDecl(Outcome("c", NEG_OUT), (Outcome("a", NEG_OUT),), 0.5, 3),
+        ),
+    )
+
+    def test_equality_and_hash_ignore_the_line(self):
+        for rec, other_line, different in self.LINED:
+            assert rec == other_line and not rec != other_line
+            assert hash(rec) == hash(other_line)
+            assert rec != different and not rec == different
+            assert len({rec, other_line, different}) == 2
+        assert Diagnostic(1, 2, "m") == Diagnostic(1, 2, "m")
+        assert hash(Diagnostic(1, 2, "m")) == hash(Diagnostic(1, 2, "m"))
+        assert Diagnostic(1, 2, "m") != Diagnostic(2, 2, "m")  # a diagnostic's line is part of it
+        assert Outcome("a", POS_OUT) == Outcome("a", POS_OUT) != Outcome("a", NEG_OUT)
+
+    def test_never_equal_to_a_plain_tuple_or_another_record(self):
+        a, c = Outcome("a", NEG_OUT), Outcome("c", POS_OUT)
+        with_fields = (
+            (NodeDecl("a", "prob", 3), ("a", "prob", 3)),
+            (PriorDecl("a", 0.5, 0.5, 3), ("a", 0.5, 0.5, 3)),
+            (LinkDecl(("a",), "c", False, 3), (("a",), "c", False, 3)),
+            (CondDecl(c, (a,), 0.5, 3), (c, (a,), 0.5, 3)),
+            (Diagnostic(1, 2, "m"), (1, 2, "m")),
+            (Outcome("a", POS_OUT), ("a", POS_OUT)),
+        )
+        for rec, fields in with_fields:
+            for plain in (fields, fields[:-1]):
+                assert rec != plain and plain != rec
+                assert not rec == plain and not plain == rec
+        assert Outcome("a", "prob") != NodeDecl("a", "prob")
+        assert NodeDecl("a", "prob") != Outcome("a", "prob")
+
+    def test_immutable(self):
+        for rec in (*(lined[0] for lined in self.LINED), Diagnostic(1, 2, "m"), Outcome("a", POS_OUT)):
+            with pytest.raises(AttributeError):
+                rec.line = 7
+            with pytest.raises(AttributeError):
+                rec.extra = 7
+
+    def test_repr_and_str(self):
+        cond = CondDecl(Outcome("c", POS_OUT), (Outcome("a", NEG_OUT), Outcome("b", FRAME_OUT)), 0.5, 4)
+        assert repr(cond) == (
+            "CondDecl(child=Outcome(var='c', kind='pos'), "
+            "parents=(Outcome(var='a', kind='neg'), Outcome(var='b', kind='frame')), value=0.5, line=4)"
+        )
+        assert repr(NodeDecl("a", "prob", 1)) == "NodeDecl(name='a', formalism='prob', line=1)"
+        assert repr(PriorDecl("a", 0.5, 0.5)) == "PriorDecl(name='a', value_x=0.5, value_nx=0.5, line=0)"
+        assert repr(LinkDecl(("a", "b"), "c", True, 2)) == (
+            "LinkDecl(parents=('a', 'b'), child='c', separate=True, line=2)"
+        )
+        assert repr(Diagnostic(3, 5, "bad")) == "Diagnostic(line=3, column=5, message='bad')"
+        assert str(Diagnostic(3, 5, "bad")) == "line 3, col 5: bad"
+
+    def test_keywords_and_defaults(self):
+        assert Diagnostic(line=1, column=2, message="m") == Diagnostic(1, 2, "m")
+        assert LinkDecl(("a",), "c").separate is False and LinkDecl(("a",), "c").line == 0
+        assert NodeDecl(name="a", formalism="prob").line == 0
+
+
 class TestRoundTrip:
     def test_medical_round_trip(self, medical_text):
         first = parse_network(medical_text)
