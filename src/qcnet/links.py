@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar
@@ -123,6 +124,7 @@ class ConditionalTable:
     parent_cells: ClassVar[tuple[Cell, ...]] = ()
     cell_keys: ClassVar[tuple[tuple[Cell, ...], ...]] = ()  # (child_pos, *parent_cells), in order
     _labels: ClassVar[tuple[str, ...]] = ()  # each key written out, e.g. 'p(c|a)'
+    _values: ClassVar = None  # table -> its values in cell_keys order
     _columns: ClassVar[tuple[tuple[tuple[Cell, ...], str], ...]] = ()  # parent cells, written out: 'b,~c'
     _sum_error: ClassVar[str] = ""  # belief: a column's two values sum above 1
 
@@ -143,6 +145,9 @@ class ConditionalTable:
         )
         given = "." if cls.arity == 1 else "X,Y"
         cls._sum_error = f"bel({child}|{given}) + bel(~{child}|{given}) must not exceed 1"
+        # the fields hold the values in layout order; the joint table's one
+        # field is already their tuple
+        cls._values = operator.attrgetter(*cls.__annotations__)
 
     @classmethod
     def from_cells(cls, values) -> "ConditionalTable":
@@ -153,12 +158,9 @@ class ConditionalTable:
         """Range-check every value; belief also checks each column's sum."""
         if not self.cell_keys:
             return
-        get = self.get
-        values = []
-        for key, label in zip(self.cell_keys, self._labels):
-            v = get(*key)
+        values = self._values(self)
+        for label, v in zip(self._labels, values):
             _check_unit(label, v)
-            values.append(v)
         if self.formalism is BEL:
             half = len(values) // 2  # the child outcome's row, then its complement's
             for pos, neg in zip(values[:half], values[half:]):
@@ -231,7 +233,8 @@ class ProbCond1(ConditionalTable):
         matrix is built from the single sign of p(c|a) - p(c|~a).
         """
         s = sign_of(self.p_c_given_a - self.p_c_given_na)
-        return QMatrix(((s, s.negated()), (s.negated(), s)))
+        n = s.negated()
+        return QMatrix(((s, n), (n, s)))
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Total probability."""
@@ -327,18 +330,18 @@ class ProbCond2(ConditionalTable):
 # possibility
 # ---------------------------------------------------------------------------
 
-def _poss_entry_1(cond_y: float, cond_ny: float, pi_y: float, pi_ny: float) -> tuple[QSign, float]:
+def _poss_entry_1(dom_gap: float, head_gap: float) -> tuple[QSign, float]:
     """Entry (c, y) of a single-parent possibility matrix, and the smallest
     gap the entry was decided on (infinite for entries never fragile).
 
-    Dominance: the y-branch of the sup-min determines the child value;
-    headroom: pi(y) itself (not the conditional) is the active minimum.
+    ``dom_gap`` is min(pi(c|y), pi(y)) - min(pi(c|~y), pi(~y)): the
+    y-branch of the sup-min determines the child value when it is positive.
+    ``head_gap`` is pi(c|y) - pi(y): pi(y) itself (not the conditional) is
+    the active minimum when it is positive, so the entry has headroom.
     Only + entries are fragile: marker and zero entries are safe at their
     boundaries because the inactive branch of the sup-min pins the child
     value.
     """
-    dom_gap = min(cond_y, pi_y) - min(cond_ny, pi_ny)
-    head_gap = cond_y - pi_y
     if dom_gap > 0 and head_gap > 0:
         return POS, min(dom_gap, head_gap)
     if head_gap > 0:
@@ -367,15 +370,13 @@ class PossCond1(ConditionalTable):
         return self.pi_nc_given_a if parent_pos else self.pi_nc_given_na
 
     def _entries(self, parent_state: PossState):
-        """(entry, gap) of every matrix entry, row by row."""
-        for child_pos in (True, False):
-            for parent_pos in (True, False):
-                yield _poss_entry_1(
-                    self.get(child_pos, parent_pos),
-                    self.get(child_pos, not parent_pos),
-                    parent_state.get(parent_pos),
-                    parent_state.get(not parent_pos),
-                )
+        """(entry, gap) of every matrix entry, row by row; each row is
+        decided from its two joints min(pi(c|y), pi(y)), computed once."""
+        pi_a, pi_na = parent_state.pi_x, parent_state.pi_nx
+        for cond_a, cond_na in ((self.pi_c_given_a, self.pi_c_given_na), (self.pi_nc_given_a, self.pi_nc_given_na)):
+            joint_a, joint_na = min(cond_a, pi_a), min(cond_na, pi_na)
+            yield _poss_entry_1(joint_a - joint_na, cond_a - pi_a)
+            yield _poss_entry_1(joint_na - joint_a, cond_na - pi_na)
 
     def derivative(self, parent_state: PossState) -> QMatrix:
         """2x2 matrix of {+, 0, up, down} entries.
@@ -405,36 +406,27 @@ class PossCond1(ConditionalTable):
         return any(gap < tol for _, gap in self._entries(parent_state))
 
 
-def _poss_pair_entry(
-    cond: PossCond2, child_pos: bool, x_first: bool, x_pos: bool,
-    state_x: PossState, state_y: PossState,
-) -> tuple[QSign, float]:
+def _poss_pair_entry(joint: dict, head: dict, x_pos: bool, pi_x: float) -> tuple[QSign, float]:
     """Entry (z, x) of a two-parent possibility matrix, and the smallest
     gap the entry was decided on (infinite for entries never fragile).
 
-    Each co-parent route y is dominant when its joint exceeds every other
-    joint, and has headroom when pi(x) is below its other two minima.  A +
-    entry is fragile when a transmitting route's dominance or headroom gap
-    is small.  An up-marker entry is fragile when no joint untouched by
-    this parent pins the current child value: a sibling route through the
-    co-parent can then leak a decrease the marker promises to block.
+    ``joint[xv, yv]`` is min(pi(z|xv,yv), pi(xv), pi(yv)) and
+    ``head[xv, yv]`` is min(pi(z|xv,yv), pi(yv)), over the outcomes of this
+    parent x and its co-parent y; ``pi_x`` is pi(x_pos).  Each co-parent
+    route y is dominant when its joint exceeds every other joint, and has
+    headroom when pi(x) is below its other two minima.  A + entry is
+    fragile when a transmitting route's dominance or headroom gap is small.
+    An up-marker entry is fragile when no joint untouched by this parent
+    pins the current child value: a sibling route through the co-parent can
+    then leak a decrease the marker promises to block.
     """
-    def c(xv: bool, yv: bool) -> float:
-        if x_first:
-            return cond.get(child_pos, xv, yv)
-        return cond.get(child_pos, yv, xv)
-
-    def joint(xv: bool, yv: bool) -> float:
-        return min(c(xv, yv), state_x.get(xv), state_y.get(yv))
-
-    pi_x = state_x.get(x_pos)
     follows = up = down = False
     gap = math.inf  # smallest gap of a transmitting route
-    pinned = [joint(not x_pos, True), joint(not x_pos, False)]
+    pinned = [joint[not x_pos, True], joint[not x_pos, False]]
     for y_pos in (True, False):
-        mine = joint(x_pos, y_pos)
-        dom_gap = mine - max(joint(not x_pos, y_pos), joint(x_pos, not y_pos), joint(not x_pos, not y_pos))
-        head_gap = min(c(x_pos, y_pos), state_y.get(y_pos)) - pi_x
+        mine = joint[x_pos, y_pos]
+        dom_gap = mine - max(joint[not x_pos, y_pos], joint[x_pos, not y_pos], joint[not x_pos, not y_pos])
+        head_gap = head[x_pos, y_pos] - pi_x
         if dom_gap > 0 and head_gap > 0:
             follows = True
             gap = min(gap, dom_gap, head_gap)
@@ -477,13 +469,22 @@ class PossCond2(ConditionalTable):
         return self.pi_nd_given_nb_c if second_pos else self.pi_nd_given_nb_nc
 
     def _entries(self, state_x: PossState, state_y: PossState):
-        """(entry, gap) of every matrix entry, row by row."""
+        """(entry, gap) of every matrix entry, row by row.  The joints of
+        each child outcome and parent order are computed once, for both of
+        the parent's outcomes."""
+        get = self.get
         for child_pos in (True, False):
-            for x_first in (True, False):
-                sx = state_x if x_first else state_y
-                sy = state_y if x_first else state_x
+            for x_first, sx, sy in ((True, state_x, state_y), (False, state_y, state_x)):
+                joint, head = {}, {}
+                for xv in (True, False):
+                    pi_xv = sx.get(xv)
+                    for yv in (True, False):
+                        c = get(child_pos, xv, yv) if x_first else get(child_pos, yv, xv)
+                        pi_yv = sy.get(yv)
+                        joint[xv, yv] = min(c, pi_xv, pi_yv)
+                        head[xv, yv] = min(c, pi_yv)
                 for x_pos in (True, False):
-                    yield _poss_pair_entry(self, child_pos, x_first, x_pos, sx, sy)
+                    yield _poss_pair_entry(joint, head, x_pos, sx.get(x_pos))
 
     def derivative(self, state_x: PossState, state_y: PossState) -> QMatrix:
         """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
@@ -552,14 +553,10 @@ class BelCond1(ConditionalTable):
 
     def derivative(self) -> QMatrix:
         """2x2 matrix: entry (x, y) is the sign of bel(x|y) - bel(x|frame)."""
-        rows = []
-        for child_pos in (True, False):
-            row = []
-            for parent_pos in (True, False):
-                diff = self.get(child_pos, parent_pos) - self.get(child_pos, None)
-                row.append(sign_of(diff))
-            rows.append(tuple(row))
-        return QMatrix(tuple(rows))
+        return QMatrix((
+            (sign_of(self.bel_c_given_a - self.bel_c_given_frame), sign_of(self.bel_c_given_na - self.bel_c_given_frame)),
+            (sign_of(self.bel_nc_given_a - self.bel_nc_given_frame), sign_of(self.bel_nc_given_na - self.bel_nc_given_frame)),
+        ))
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Mass-weighted sums over the outcome, its complement and the frame."""

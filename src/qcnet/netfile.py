@@ -19,16 +19,18 @@ inconsistent conditionals, range errors).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import links as lc
 from .network import BEL, Link, Network, POSS, PROB, Variable
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*$")
-# the conditioned outcome may be written as a (rejected) no-space frame
-# token, so the error message can say so instead of misparsing
+# matched from just after the "cond" keyword; the conditioned outcome may
+# be written as a (rejected) no-space frame token, so the error message can
+# say so instead of misparsing
 _COND_RE = re.compile(
-    r"(?P<child>[A-Za-z_]\w*\|~[A-Za-z_]\w*|~?[A-Za-z_]\w*)\s*\|\s*(?P<parents>.+?)\s*=\s*(?P<value>\S+)$"
+    r"\s*(?P<child>[A-Za-z_]\w*\|~[A-Za-z_]\w*|~?[A-Za-z_]\w*)\s*\|\s*(?P<parents>.+?)\s*=\s*(?P<value>\S+)$"
 )
 
 _FORMALISMS = {"prob": PROB, "poss": POSS, "bel": BEL}
@@ -38,8 +40,29 @@ NEG_OUT = "neg"
 FRAME_OUT = "frame"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+def _record(cls):
+    """Make a ``NamedTuple`` class a value record, as a frozen dataclass
+    would be: equal only to a record of its own class, by every field but a
+    trailing ``line``, and hashed by those fields.  A plain tuple, or a
+    record of another class, is never equal to it."""
+    n = len(cls._fields) - (cls._fields[-1] == "line")
+
+    def __eq__(self, other):
+        if type(other) is not cls:
+            return False if isinstance(other, tuple) else NotImplemented
+        return self[:n] == other[:n]
+
+    def __ne__(self, other):
+        eq = __eq__(self, other)
+        return eq if eq is NotImplemented else not eq
+
+    cls.__eq__, cls.__ne__ = __eq__, __ne__
+    cls.__hash__ = tuple.__hash__ if n == len(cls._fields) else lambda self: hash(self[:n])
+    return cls
+
+
+@_record
+class Diagnostic(NamedTuple):
     line: int
     column: int
     message: str
@@ -48,31 +71,31 @@ class Diagnostic:
         return f"line {self.line}, col {self.column}: {self.message}"
 
 
-@dataclass(frozen=True)
-class NodeDecl:
+@_record
+class NodeDecl(NamedTuple):
     name: str
     formalism: str
-    line: int = field(compare=False, default=0)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class PriorDecl:
+@_record
+class PriorDecl(NamedTuple):
     name: str
     value_x: float
     value_nx: float
-    line: int = field(compare=False, default=0)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class LinkDecl:
+@_record
+class LinkDecl(NamedTuple):
     parents: tuple[str, ...]
     child: str
     separate: bool = False
-    line: int = field(compare=False, default=0)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class Outcome:
+@_record
+class Outcome(NamedTuple):
     var: str
     kind: str  # POS_OUT, NEG_OUT or FRAME_OUT
 
@@ -84,12 +107,12 @@ class Outcome:
         return f"{self.var}|~{self.var}"
 
 
-@dataclass(frozen=True)
-class CondDecl:
+@_record
+class CondDecl(NamedTuple):
     child: Outcome
     parents: tuple[Outcome, ...]
     value: float
-    line: int = field(compare=False, default=0)
+    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -116,8 +139,7 @@ def _column(line: str, token: str) -> int:
 
 
 def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, str | None]:
-    """Parse one outcome token against declared variable names."""
-    token = token.strip()
+    """Parse one stripped outcome token against declared variable names."""
     if "|" in token:
         parts = [p.strip() for p in token.split("|")]
         names = set()
@@ -131,21 +153,41 @@ def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, s
         return Outcome(var, FRAME_OUT), None
     neg = token.startswith("~")
     var = token[1:].strip() if neg else token
-    if not _NAME_RE.match(var):
-        return None, f"malformed outcome {token!r}"
-    if var not in known:
+    if var not in known:  # a declared name is well formed
+        if not _NAME_RE.match(var):
+            return None, f"malformed outcome {token!r}"
         return None, f"outcome references undeclared variable {var!r}"
     return Outcome(var, NEG_OUT if neg else POS_OUT), None
+
+
+def _parse_parents(
+    text: str, known: dict[str, str], outcomes: dict[str, Outcome]
+) -> tuple[tuple[Outcome, ...] | None, str | None, str]:
+    """The comma-separated outcomes of ``text``; or None, the first bad
+    token's error and the token.  A token already in ``outcomes`` is not
+    parsed again, and a token parsed here is added to it."""
+    outs = []
+    for piece in text.split(","):
+        token = piece.strip()
+        out = outcomes.get(token)
+        if out is None:
+            out, err = _parse_outcome(token, known)
+            if err:
+                return None, err, token
+            outcomes[token] = out
+        outs.append(out)
+    return tuple(outs), None, ""
 
 
 def parse_network(text: str) -> ParseResult:
     """Parse network-file text. Total: collects diagnostics, never raises.
 
-    Linear in the text: duplicate link children are found in a set, and
-    each distinct outcome token is parsed once, its :class:`Outcome`
-    shared by every conditional that names it.  Only successful parses are
-    remembered, since a token naming a variable not yet declared becomes
-    valid once its ``node`` line arrives."""
+    Linear in the text: duplicate link children are found in a set.  Each
+    distinct outcome token is parsed once, and each distinct parent-outcome
+    text once, their :class:`Outcome` and tuple shared by every conditional
+    that names them.  Only successful parses are remembered, since a token
+    naming a variable not yet declared becomes valid once its ``node`` line
+    arrives."""
     nodes: list[NodeDecl] = []
     priors: list[PriorDecl] = []
     links: list[LinkDecl] = []
@@ -155,15 +197,16 @@ def parse_network(text: str) -> ParseResult:
     prior_seen: set[str] = set()
     linked: set[str] = set()
     outcomes: dict[str, Outcome] = {}  # stripped token -> its parsed outcome
+    parent_lists: dict[str, tuple[Outcome, ...]] = {}  # parent-outcome text -> its outcomes
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         head = line.split(None, 1)[0]
 
         if head == "cond":
-            m = _COND_RE.match(line[len("cond"):].strip())
+            m = _COND_RE.match(line, 4)
             if m is None:
                 diags.append(Diagnostic(lineno, 1, "expected: cond OUTCOME | OUTCOMES = VALUE"))
                 continue
@@ -178,24 +221,19 @@ def parse_network(text: str) -> ParseResult:
             if child_out.kind == FRAME_OUT:
                 diags.append(Diagnostic(lineno, 1, "the conditioned outcome cannot be a frame"))
                 continue
-            parent_outs = []
-            for token in parents_text.split(","):
-                token = token.strip()
-                out = outcomes.get(token)
-                if out is None:
-                    out, err = _parse_outcome(token, known)
-                    if err:
-                        diags.append(Diagnostic(lineno, _column(raw, token), err))
-                        break
-                    outcomes[token] = out
-                parent_outs.append(out)
-            else:
-                try:
-                    value = float(value_text)
-                except ValueError:
-                    diags.append(Diagnostic(lineno, _column(raw, value_text), "conditional value must be a number"))
+            parent_outs = parent_lists.get(parents_text)
+            if parent_outs is None:
+                parent_outs, err, token = _parse_parents(parents_text, known, outcomes)
+                if err:
+                    diags.append(Diagnostic(lineno, _column(raw, token), err))
                     continue
-                conds.append(CondDecl(child_out, tuple(parent_outs), value, lineno))
+                parent_lists[parents_text] = parent_outs
+            try:
+                value = float(value_text)
+            except ValueError:
+                diags.append(Diagnostic(lineno, _column(raw, value_text), "conditional value must be a number"))
+                continue
+            conds.append(CondDecl(child_out, parent_outs, value, lineno))
 
         elif head == "node":
             tokens = line.split()
@@ -253,12 +291,13 @@ def parse_network(text: str) -> ParseResult:
             child = rhs_tokens[0]
             bad = False
             for name in (*parents, child):
+                if name in known:  # a declared name is well formed
+                    continue
+                bad = True
                 if not _NAME_RE.match(name):
                     diags.append(Diagnostic(lineno, _column(raw, name), f"malformed variable name {name!r}"))
-                    bad = True
-                elif name not in known:
+                else:
                     diags.append(Diagnostic(lineno, _column(raw, name), f"link references undeclared variable {name!r}"))
-                    bad = True
             if bad:
                 continue
             if not 1 <= len(parents) <= 2:
@@ -332,8 +371,9 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
         conds_by_child.setdefault(child, []).append(c)
 
     links: list[Link] = []
+    parts_of: dict[tuple[Outcome, ...], tuple] = {}  # parent outcomes -> (their names, their cells)
     for decl in doc.links:
-        table = _build_table(decl, formalisms, conds_by_child.get(decl.child, []), diags)
+        table = _build_table(decl, formalisms, conds_by_child.get(decl.child, []), diags, parts_of)
         if table is not None:
             links.append(Link(decl.child, decl.parents, table))
 
@@ -345,29 +385,25 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
 _CELL_OF: dict[str, lc.Cell] = {POS_OUT: True, NEG_OUT: False, FRAME_OUT: None}
 
 
-def _cond_key(decl: LinkDecl, c: CondDecl, frames_ok: bool, one_parent_per_cond: bool) -> tuple | str:
-    """Cell key for one conditional line, or an error message.
-
-    Joint tables key by (child_pos, cell per parent in link order);
-    'separate' tables name one parent outcome per line and key by
-    (child_pos, parent index, cell)."""
+def _cond_key(
+    decl: LinkDecl, c: CondDecl, names: tuple[str, ...], cells: tuple[lc.Cell, ...],
+    frames_ok: bool, one_parent_per_cond: bool,
+) -> tuple | str:
+    """The cell key of a conditional whose parent outcomes (``names``,
+    ``cells``) are not simply the link's parents in order, or an error
+    message.  Such a key exists only for a 'separate' table, which names
+    one parent outcome per line and keys by (child_pos, parent index, cell)."""
     if one_parent_per_cond:
-        if len(c.parents) != 1:
+        if len(names) != 1:
             return "per-parent tables take one conditioning outcome per line"
-        out = c.parents[0]
-        if out.var not in decl.parents:
-            return f"outcome of {out.var!r} does not name a parent of {decl.child!r}"
-        return (c.child.kind == POS_OUT, decl.parents.index(out.var), _CELL_OF[out.kind])
-    if len(c.parents) != len(decl.parents):
+        if names[0] not in decl.parents:
+            return f"outcome of {names[0]!r} does not name a parent of {decl.child!r}"
+        return (c.child.kind == POS_OUT, decl.parents.index(names[0]), cells[0])
+    if len(names) != len(decl.parents):
         return f"expected {len(decl.parents)} conditioning outcomes for {decl.child!r}"
-    key = [c.child.kind == POS_OUT]
-    for out, expected in zip(c.parents, decl.parents):
-        if out.var != expected:
-            return f"conditioning outcomes must follow link parent order ({', '.join(decl.parents)})"
-        key.append(_CELL_OF[out.kind])
-    if not frames_ok and None in key:
-        return "frame outcomes are only meaningful for belief links"
-    return tuple(key)
+    if names != decl.parents:
+        return f"conditioning outcomes must follow link parent order ({', '.join(decl.parents)})"
+    return "frame outcomes are only meaningful for belief links"
 
 
 def _collect_cells(
@@ -375,16 +411,27 @@ def _collect_cells(
     conds: list[CondDecl],
     diags: list[Diagnostic],
     frames_ok: bool,
-    one_parent_per_cond: bool = False,
+    one_parent_per_cond: bool,
+    parts_of: dict[tuple[Outcome, ...], tuple],
 ) -> dict | None:
+    """The cells a link's conditionals assign, keyed by (child_pos, cell per
+    parent in link order), or None after a diagnostic.  Each distinct tuple
+    of parent outcomes is split into names and cells once (``parts_of``)."""
     cells: dict = {}
     ok = True
     for c in conds:
-        key = _cond_key(decl, c, frames_ok, one_parent_per_cond)
-        if isinstance(key, str):
-            diags.append(Diagnostic(c.line, 1, key))
-            ok = False
-            continue
+        parts = parts_of.get(c.parents)
+        if parts is None:
+            parts = parts_of[c.parents] = (tuple([o.var for o in c.parents]), tuple([_CELL_OF[o.kind] for o in c.parents]))
+        names, parent_cells = parts
+        if names == decl.parents and not one_parent_per_cond and (frames_ok or None not in parent_cells):
+            key = (c.child.kind == POS_OUT, *parent_cells)
+        else:
+            key = _cond_key(decl, c, names, parent_cells, frames_ok, one_parent_per_cond)
+            if isinstance(key, str):
+                diags.append(Diagnostic(c.line, 1, key))
+                ok = False
+                continue
         if not 0.0 <= c.value <= 1.0:
             diags.append(Diagnostic(c.line, 1, f"conditional value {c.value!r} outside [0, 1]"))
             ok = False
@@ -428,27 +475,25 @@ def _layout_values(cls, cells: dict, decl: LinkDecl, diags: list[Diagnostic], in
     cell keyed ``(child_pos, *index, *parent_cells)`` by the formalism's rule:
     a probability is stated or 1 minus its stated complement, a possibility
     is required, and a missing belief is 0.  None after a diagnostic."""
-    values = []
-    for child_pos, *parent_cells in cls.cell_keys:
-        key = (child_pos, *index, *parent_cells)
-        if cls.formalism is PROB:
-            values.append(_prob_value(cells, key, decl, diags))
-        elif cls.formalism is POSS:
+    keys = cls.cell_keys if not index else [(pos, *index, *rest) for pos, *rest in cls.cell_keys]
+    if cls.formalism is PROB:
+        values = [_prob_value(cells, key, decl, diags) for key in keys]
+        return None if None in values else values
+    if cls.formalism is POSS:
+        for key in keys:
             if key not in cells:
                 diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional for {decl.child!r} (cell {key})"))
                 return None
-            values.append(cells[key])
-        else:
-            values.append(cells.get(key, 0.0))
-    return None if None in values else values
+        return [cells[key] for key in keys]
+    return [cells.get(key, 0.0) for key in keys]
 
 
-def _build_table(decl, formalisms, conds, diags):
+def _build_table(decl, formalisms, conds, diags, parts_of):
     child_form = formalisms[decl.child]
     if decl.separate and child_form is not BEL:
         diags.append(Diagnostic(decl.line, 1, "'separate' tables are only defined for belief links"))
         return None
-    cells = _collect_cells(decl, conds, diags, frames_ok=child_form is BEL, one_parent_per_cond=decl.separate)
+    cells = _collect_cells(decl, conds, diags, child_form is BEL, decl.separate, parts_of)
     if cells is None:
         return None
     try:

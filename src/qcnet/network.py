@@ -180,18 +180,20 @@ def _compile(net: Network) -> CompiledNetwork:
     matrices: dict[str, QMatrix] = {}
     steps = []
     pure: set[str] = set()
+    variables, link_of = net.variables, net.link_of
     for name in order:
-        link = net.link_of.get(name)
+        link = link_of.get(name)
         if link is None:
             steps.append(_Step(name, (), (), None))
             pure.add(name)
             continue
-        states = [_parent_poss_state(net, p) for p in link.parents] if link.table.state_dependent else ()
-        matrices[name] = matrix = link.table.derivative(*states)
-        form = net.variables[name].formalism
-        bridged = tuple(net.variables[p].formalism is not form for p in link.parents)
-        steps.append(_Step(name, link.parents, bridged, matrix))
-        if not any(bridged) and all(p in pure for p in link.parents):
+        table, parents = link.table, link.parents
+        states = [_parent_poss_state(net, p) for p in parents] if table.state_dependent else ()
+        matrices[name] = matrix = table.derivative(*states)
+        form = variables[name].formalism
+        bridged = tuple([variables[p].formalism is not form for p in parents])
+        steps.append(_Step(name, parents, bridged, matrix))
+        if True not in bridged and pure.issuperset(parents):
             pure.add(name)
     position = MappingProxyType({name: i for i, name in enumerate(order)})
     return CompiledNetwork(

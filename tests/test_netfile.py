@@ -359,6 +359,26 @@ class TestLinearLoad:
             assert set(calls) == tokens
             assert max(calls.values()) == 1
 
+    def test_each_parent_outcome_text_split_once(self, monkeypatch, medical_text):
+        calls = Counter()
+        parse_parents = netfile._parse_parents
+
+        def counted(text, known, outcomes):
+            calls[text] += 1
+            return parse_parents(text, known, outcomes)
+
+        monkeypatch.setattr(netfile, "_parse_parents", counted)
+        for text in (chain_text(300), medical_text):
+            calls.clear()
+            result = parse_network(text)
+            assert result.ok
+            # both files write parent outcomes separated by ", "
+            texts = {", ".join(o.render() for o in c.parents) for c in result.document.conds}
+            assert set(calls) == texts
+            assert max(calls.values()) == 1
+            # conditionals that name the same text share one tuple
+            assert len({id(c.parents) for c in result.document.conds}) == len(texts)
+
     def test_outcome_errors_are_not_remembered(self):
         # 'b' is undeclared at the first cond and declared before the second
         text = "node a prob\nnode c prob\nlink a -> c\ncond c | b = 0.5\nnode b prob\ncond c | b = 0.5\n"
