@@ -133,9 +133,17 @@ class ParseResult:
         return not self.diagnostics
 
 
-def _column(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _column(raw: str, index: int) -> int:
+    """The 1-based column in the line ``raw`` of ``index`` into its
+    stripped, comment-free text."""
+    return len(raw) - len(raw.lstrip()) + index + 1
+
+
+def _piece_index(pieces: list[str], i: int) -> int:
+    """Where piece ``i``'s stripped text starts in the text that a
+    one-character separator split into ``pieces`` (a blank piece: where the
+    piece starts)."""
+    return sum(len(p) + 1 for p in pieces[:i]) + pieces[i].find(pieces[i].strip())
 
 
 def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, str | None]:
@@ -162,21 +170,23 @@ def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, s
 
 def _parse_parents(
     text: str, known: dict[str, str], outcomes: dict[str, Outcome]
-) -> tuple[tuple[Outcome, ...] | None, str | None, str]:
+) -> tuple[tuple[Outcome, ...] | None, str | None, int]:
     """The comma-separated outcomes of ``text``; or None, the first bad
-    token's error and the token.  A token already in ``outcomes`` is not
-    parsed again, and a token parsed here is added to it."""
+    token's error and its index in ``text``.  A token already in
+    ``outcomes`` is not parsed again, and a token parsed here is added to
+    it."""
     outs = []
-    for piece in text.split(","):
+    pieces = text.split(",")
+    for i, piece in enumerate(pieces):
         token = piece.strip()
         out = outcomes.get(token)
         if out is None:
             out, err = _parse_outcome(token, known)
             if err:
-                return None, err, token
+                return None, err, _piece_index(pieces, i)
             outcomes[token] = out
         outs.append(out)
-    return tuple(outs), None, ""
+    return tuple(outs), None, 0
 
 
 def parse_network(text: str) -> ParseResult:
@@ -187,7 +197,7 @@ def parse_network(text: str) -> ParseResult:
     text once, their :class:`Outcome` and tuple shared by every conditional
     that names them.  Only successful parses are remembered, since a token
     naming a variable not yet declared becomes valid once its ``node`` line
-    arrives."""
+    arrives.  A diagnostic's column points at the token it is about."""
     nodes: list[NodeDecl] = []
     priors: list[PriorDecl] = []
     links: list[LinkDecl] = []
@@ -215,7 +225,7 @@ def parse_network(text: str) -> ParseResult:
             if child_out is None:
                 child_out, err = _parse_outcome(child_token, known)
                 if err:
-                    diags.append(Diagnostic(lineno, _column(raw, child_token), err))
+                    diags.append(Diagnostic(lineno, _column(raw, m.start("child")), err))
                     continue
                 outcomes[child_token] = child_out
             if child_out.kind == FRAME_OUT:
@@ -223,15 +233,15 @@ def parse_network(text: str) -> ParseResult:
                 continue
             parent_outs = parent_lists.get(parents_text)
             if parent_outs is None:
-                parent_outs, err, token = _parse_parents(parents_text, known, outcomes)
+                parent_outs, err, at = _parse_parents(parents_text, known, outcomes)
                 if err:
-                    diags.append(Diagnostic(lineno, _column(raw, token), err))
+                    diags.append(Diagnostic(lineno, _column(raw, m.start("parents") + at), err))
                     continue
                 parent_lists[parents_text] = parent_outs
             try:
                 value = float(value_text)
             except ValueError:
-                diags.append(Diagnostic(lineno, _column(raw, value_text), "conditional value must be a number"))
+                diags.append(Diagnostic(lineno, _column(raw, m.start("value")), "conditional value must be a number"))
                 continue
             conds.append(CondDecl(child_out, parent_outs, value, lineno))
 
@@ -241,14 +251,16 @@ def parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, "expected: node NAME prob|poss|bel"))
                 continue
             name, kind = tokens[1], tokens[2]
+            name_at = line.index(name, 4)  # each token is the first match after the one before
             if not _NAME_RE.match(name):
-                diags.append(Diagnostic(lineno, _column(raw, name), f"malformed variable name {name!r}"))
+                diags.append(Diagnostic(lineno, _column(raw, name_at), f"malformed variable name {name!r}"))
                 continue
             if kind not in _FORMALISMS:
-                diags.append(Diagnostic(lineno, _column(raw, kind), f"unknown formalism {kind!r}"))
+                kind_at = line.index(kind, name_at + len(name))
+                diags.append(Diagnostic(lineno, _column(raw, kind_at), f"unknown formalism {kind!r}"))
                 continue
             if name in known:
-                diags.append(Diagnostic(lineno, _column(raw, name), f"duplicate variable {name!r}"))
+                diags.append(Diagnostic(lineno, _column(raw, name_at), f"duplicate variable {name!r}"))
                 continue
             known[name] = kind
             nodes.append(NodeDecl(name, kind, lineno))
@@ -260,7 +272,7 @@ def parse_network(text: str) -> ParseResult:
                 continue
             name = tokens[1]
             if name not in known:
-                diags.append(Diagnostic(lineno, _column(raw, name), f"prior for undeclared variable {name!r}"))
+                diags.append(Diagnostic(lineno, _column(raw, line.index(name, 5)), f"prior for undeclared variable {name!r}"))
                 continue
             try:
                 vx, vnx = float(tokens[2]), float(tokens[3])
@@ -268,18 +280,19 @@ def parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, f"prior values for {name!r} must be numbers"))
                 continue
             if name in prior_seen:
-                diags.append(Diagnostic(lineno, _column(raw, name), f"duplicate prior for {name!r}"))
+                diags.append(Diagnostic(lineno, _column(raw, line.index(name, 5)), f"duplicate prior for {name!r}"))
                 continue
             prior_seen.add(name)
             priors.append(PriorDecl(name, vx, vnx, lineno))
 
         elif head == "link":
-            body = line[len("link"):].strip()
+            body = line[4:]
             if "->" not in body:
                 diags.append(Diagnostic(lineno, 1, "expected: link PARENT [& PARENT] -> CHILD [separate]"))
                 continue
             lhs, rhs = body.split("->", 1)
-            parents = [p.strip() for p in lhs.split("&")]
+            pieces = lhs.split("&")
+            parents = [p.strip() for p in pieces]
             rhs_tokens = rhs.split()
             separate = False
             if len(rhs_tokens) == 2 and rhs_tokens[1] == "separate":
@@ -289,25 +302,27 @@ def parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, "expected: link PARENT [& PARENT] -> CHILD [separate]"))
                 continue
             child = rhs_tokens[0]
+            child_at = 4 + len(lhs) + 2 + rhs.index(child)
             bad = False
-            for name in (*parents, child):
+            for i, name in enumerate((*parents, child)):
                 if name in known:  # a declared name is well formed
                     continue
                 bad = True
+                col = _column(raw, 4 + _piece_index(pieces, i) if i < len(parents) else child_at)
                 if not _NAME_RE.match(name):
-                    diags.append(Diagnostic(lineno, _column(raw, name), f"malformed variable name {name!r}"))
+                    diags.append(Diagnostic(lineno, col, f"malformed variable name {name!r}"))
                 else:
-                    diags.append(Diagnostic(lineno, _column(raw, name), f"link references undeclared variable {name!r}"))
+                    diags.append(Diagnostic(lineno, col, f"link references undeclared variable {name!r}"))
             if bad:
                 continue
             if not 1 <= len(parents) <= 2:
                 diags.append(Diagnostic(lineno, 1, "a link takes one or two parents"))
                 continue
             if separate and len(parents) != 2:
-                diags.append(Diagnostic(lineno, _column(raw, "separate"), "'separate' applies to two-parent links"))
+                diags.append(Diagnostic(lineno, _column(raw, len(line) - len("separate")), "'separate' applies to two-parent links"))
                 continue
             if child in linked:
-                diags.append(Diagnostic(lineno, _column(raw, child), f"variable {child!r} already has a link"))
+                diags.append(Diagnostic(lineno, _column(raw, child_at), f"variable {child!r} already has a link"))
                 continue
             linked.add(child)
             links.append(LinkDecl(tuple(parents), child, separate, lineno))
@@ -482,7 +497,7 @@ def _layout_values(cls, cells: dict, decl: LinkDecl, diags: list[Diagnostic], in
     if cls.formalism is POSS:
         for key in keys:
             if key not in cells:
-                diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional for {decl.child!r} (cell {key})"))
+                diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional {'' if key[0] else '~'}{decl.child} {_given(decl, key)} for {decl.child!r}"))
                 return None
         return [cells[key] for key in keys]
     return [cells.get(key, 0.0) for key in keys]

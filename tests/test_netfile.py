@@ -109,6 +109,25 @@ class TestParse:
         result = parse_network(text)
         assert any("already has a link" in d.message for d in result.diagnostics)
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("cond o | c = 0.5\n", 1, 6),  # not the 'o' of 'cond'
+            ("node c prob\nlink ac -> c\n", 2, 6),
+            ("node ac prob\nlink ac -> c\n", 2, 12),  # not the 'c' of 'ac'
+            ("prior r 0.5 0.5\n", 1, 7),  # not the 'r' of 'prior'
+            ("node d prob\nnode d bel\n", 2, 6),  # not the 'd' of 'node'
+            ("node o fuzzy\n", 1, 8),
+            ("node separate_x bel\nnode c bel\nlink separate_x -> c separate\n", 3, 22),
+            ("node aq prob\nnode c prob\nlink aq -> c\ncond c | aq, q = 0.5\n", 4, 14),  # not the 'q' of 'aq'
+            ("node a prob\nnode c prob\nlink a -> c\n\tcond c | ~a = a # a\n", 4, 16),
+            ("node a prob\nnode c prob\nlink a -> c\nlink a -> c\n", 4, 11),
+        ],
+    )
+    def test_columns_point_at_the_offending_token(self, text, line, column):
+        (diag,) = parse_network(text).diagnostics
+        assert (diag.line, diag.column) == (line, column)
+
     def test_indented_lines_parse_like_unindented_ones(self, medical_text):
         indents = ("  ", "\t", " \t ")
         indented = "\n".join(indents[i % 3] + line for i, line in enumerate(medical_text.splitlines()))
@@ -197,7 +216,13 @@ class TestBuild:
         text = "node a poss\nnode c poss\nprior a 1 0.4\nlink a -> c\ncond c | a = 0.6\n"
         net, diags = load_network(text)
         assert net is None
-        assert any("missing possibility conditional" in d.message for d in diags)
+        assert [d.message for d in diags] == ["missing possibility conditional c given ~a for 'c'"]
+        text = (
+            "node a poss\nnode b poss\nnode c poss\nprior a 1 0.4\nprior b 0.3 1\nlink a & b -> c\n"
+            "cond c | a, b = 1\ncond c | a, ~b = 1\ncond c | ~a, b = 1\ncond c | ~a, ~b = 1\ncond ~c | a, b = 1\n"
+        )
+        net, diags = load_network(text)
+        assert [d.message for d in diags] == ["missing possibility conditional ~c given a, ~b for 'c'"]
 
     def test_conditional_without_link(self):
         text = "node a prob\nnode c prob\ncond c | a = 0.6\n"
@@ -653,9 +678,9 @@ REF_COND_RE = re.compile(
 REF_FORMALISMS = {"prob": PROB, "poss": POSS, "bel": BEL}
 
 
-def ref_column(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def ref_column(raw: str, token: str, start: int) -> int:
+    """Column of ``token``'s first occurrence in ``raw`` at or after ``start``."""
+    return raw.find(token, start) + 1
 
 
 def ref_parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, str | None]:
@@ -703,14 +728,15 @@ def ref_parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, "expected: node NAME prob|poss|bel"))
                 continue
             name, kind = tokens[1], tokens[2]
+            name_col = ref_column(raw, name, raw.index(head) + len(head))
             if not REF_NAME_RE.match(name):
-                diags.append(Diagnostic(lineno, ref_column(raw, name), f"malformed variable name {name!r}"))
+                diags.append(Diagnostic(lineno, name_col, f"malformed variable name {name!r}"))
                 continue
             if kind not in REF_FORMALISMS:
-                diags.append(Diagnostic(lineno, ref_column(raw, kind), f"unknown formalism {kind!r}"))
+                diags.append(Diagnostic(lineno, ref_column(raw, kind, name_col - 1 + len(name)), f"unknown formalism {kind!r}"))
                 continue
             if name in known:
-                diags.append(Diagnostic(lineno, ref_column(raw, name), f"duplicate variable {name!r}"))
+                diags.append(Diagnostic(lineno, name_col, f"duplicate variable {name!r}"))
                 continue
             known[name] = kind
             nodes.append(NodeDecl(name, kind, lineno))
@@ -720,8 +746,9 @@ def ref_parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, "expected: prior NAME VALUE VALUE"))
                 continue
             name = tokens[1]
+            name_col = ref_column(raw, name, raw.index(head) + len(head))
             if name not in known:
-                diags.append(Diagnostic(lineno, ref_column(raw, name), f"prior for undeclared variable {name!r}"))
+                diags.append(Diagnostic(lineno, name_col, f"prior for undeclared variable {name!r}"))
                 continue
             try:
                 vx, vnx = float(tokens[2]), float(tokens[3])
@@ -729,7 +756,7 @@ def ref_parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, f"prior values for {name!r} must be numbers"))
                 continue
             if name in prior_seen:
-                diags.append(Diagnostic(lineno, ref_column(raw, name), f"duplicate prior for {name!r}"))
+                diags.append(Diagnostic(lineno, name_col, f"duplicate prior for {name!r}"))
                 continue
             prior_seen.add(name)
             priors.append(PriorDecl(name, vx, vnx, lineno))
@@ -750,13 +777,22 @@ def ref_parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, "expected: link PARENT [& PARENT] -> CHILD [separate]"))
                 continue
             child = rhs_tokens[0]
+            # scan left to right: each parent after its '&', the child after '->'
+            cols, cursor = [], raw.index(head) + len(head)
+            for i, name in enumerate((*parents, child)):
+                if 0 < i < len(parents):
+                    cursor = raw.index("&", cursor) + 1
+                elif i == len(parents):
+                    cursor = raw.index("->", cursor) + 2
+                cols.append(ref_column(raw, name, cursor))
+                cursor = cols[-1] - 1 + len(name)
             bad = False
-            for name in (*parents, child):
+            for name, col in zip((*parents, child), cols):
                 if not REF_NAME_RE.match(name):
-                    diags.append(Diagnostic(lineno, ref_column(raw, name), f"malformed variable name {name!r}"))
+                    diags.append(Diagnostic(lineno, col, f"malformed variable name {name!r}"))
                     bad = True
                 elif name not in known:
-                    diags.append(Diagnostic(lineno, ref_column(raw, name), f"link references undeclared variable {name!r}"))
+                    diags.append(Diagnostic(lineno, col, f"link references undeclared variable {name!r}"))
                     bad = True
             if bad:
                 continue
@@ -764,10 +800,10 @@ def ref_parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, "a link takes one or two parents"))
                 continue
             if separate and len(parents) != 2:
-                diags.append(Diagnostic(lineno, ref_column(raw, "separate"), "'separate' applies to two-parent links"))
+                diags.append(Diagnostic(lineno, ref_column(raw, "separate", cursor), "'separate' applies to two-parent links"))
                 continue
             if any(l.child == child for l in links):
-                diags.append(Diagnostic(lineno, ref_column(raw, child), f"variable {child!r} already has a link"))
+                diags.append(Diagnostic(lineno, cols[-1], f"variable {child!r} already has a link"))
                 continue
             links.append(LinkDecl(tuple(parents), child, separate, lineno))
 
@@ -777,19 +813,23 @@ def ref_parse_network(text: str) -> ParseResult:
             if m is None:
                 diags.append(Diagnostic(lineno, 1, "expected: cond OUTCOME | OUTCOMES = VALUE"))
                 continue
+            body_at = raw.index(body, raw.index(head) + len(head))
             child_out, err = ref_parse_outcome(m.group("child"), known)
             if err:
-                diags.append(Diagnostic(lineno, ref_column(raw, m.group("child")), err))
+                diags.append(Diagnostic(lineno, body_at + m.start("child") + 1, err))
                 continue
             if child_out.kind == FRAME_OUT:
                 diags.append(Diagnostic(lineno, 1, "the conditioned outcome cannot be a frame"))
                 continue
             parent_outs = []
             bad = False
-            for token in m.group("parents").split(","):
+            piece_at = body_at + m.start("parents")
+            for i, token in enumerate(m.group("parents").split(",")):
+                if i:  # each piece after its ','
+                    piece_at = raw.index(",", piece_at) + 1
                 out, err = ref_parse_outcome(token, known)
                 if err:
-                    diags.append(Diagnostic(lineno, ref_column(raw, token.strip()), err))
+                    diags.append(Diagnostic(lineno, ref_column(raw, token.strip(), piece_at), err))
                     bad = True
                     break
                 parent_outs.append(out)
@@ -798,7 +838,7 @@ def ref_parse_network(text: str) -> ParseResult:
             try:
                 value = float(m.group("value"))
             except ValueError:
-                diags.append(Diagnostic(lineno, ref_column(raw, m.group("value")), "conditional value must be a number"))
+                diags.append(Diagnostic(lineno, body_at + m.start("value") + 1, "conditional value must be a number"))
                 continue
             conds.append(CondDecl(child_out, tuple(parent_outs), value, lineno))
 
@@ -956,7 +996,7 @@ def ref_build_table(decl, formalisms, conds, diags):
         values = []
         for key in keys:
             if key not in cells:
-                diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional for {decl.child!r} (cell {key})"))
+                diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional {'' if key[0] else '~'}{decl.child} given {', '.join(('' if c else '~') + p for c, p in zip(key[1:], decl.parents))} for {decl.child!r}"))
                 return None
             values.append(cells[key])
         if len(decl.parents) == 1:
