@@ -416,7 +416,7 @@ def _cond_key(
         return (c.child.kind == POS_OUT, decl.parents.index(names[0]), cells[0])
     if len(names) != len(decl.parents):
         return f"expected {len(decl.parents)} conditioning outcomes for {decl.child!r}"
-    if names != decl.parents:
+    if names != tuple(decl.parents):
         return f"conditioning outcomes must follow link parent order ({', '.join(decl.parents)})"
     return "frame outcomes are only meaningful for belief links"
 
@@ -434,12 +434,13 @@ def _collect_cells(
     of parent outcomes is split into names and cells once (``parts_of``)."""
     cells: dict = {}
     ok = True
+    expected = tuple(decl.parents)  # a document built by hand may hold a list
     for c in conds:
         parts = parts_of.get(c.parents)
         if parts is None:
             parts = parts_of[c.parents] = (tuple([o.var for o in c.parents]), tuple([_CELL_OF[o.kind] for o in c.parents]))
         names, parent_cells = parts
-        if names == decl.parents and not one_parent_per_cond and (frames_ok or None not in parent_cells):
+        if names == expected and not one_parent_per_cond and (frames_ok or None not in parent_cells):
             key = (c.child.kind == POS_OUT, *parent_cells)
         else:
             key = _cond_key(decl, c, names, parent_cells, frames_ok, one_parent_per_cond)

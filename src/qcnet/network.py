@@ -193,7 +193,7 @@ def _compile(net: Network) -> CompiledNetwork:
         form = variables[name].formalism
         bridged = tuple([variables[p].formalism is not form for p in parents])
         steps.append(_Step(name, parents, bridged, matrix))
-        if True not in bridged and pure.issuperset(parents):
+        if not any(bridged) and pure.issuperset(parents):
             pure.add(name)
     position = MappingProxyType({name: i for i, name in enumerate(order)})
     return CompiledNetwork(

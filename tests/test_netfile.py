@@ -224,6 +224,17 @@ class TestBuild:
         net, diags = load_network(text)
         assert [d.message for d in diags] == ["missing possibility conditional ~c given a, ~b for 'c'"]
 
+    def test_hand_built_document_with_listed_parents(self):
+        a, c = Outcome("a", POS_OUT), Outcome("c", POS_OUT)
+        doc = NetworkDocument(
+            (NodeDecl("a", "prob"), NodeDecl("c", "prob")),
+            (),
+            (LinkDecl(["a"], "c"),),
+            (CondDecl(c, (a,), 0.6), CondDecl(c, (Outcome("a", NEG_OUT),), 0.2)),
+        )
+        net, diags = build_network(doc)
+        assert diags == () and net.link_of["c"].table == ProbCond1(0.6, 0.2)
+
     def test_conditional_without_link(self):
         text = "node a prob\nnode c prob\ncond c | a = 0.6\n"
         net, diags = load_network(text)
