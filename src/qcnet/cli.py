@@ -27,6 +27,8 @@ from .oracle import DECREASE, INCREASE, OracleError, PerturbationSpec, check_con
 from .signs import NEG, POS, QSign, ZERO, qadd
 
 _EVIDENCE_TOKENS = {"+", "-", "0", "?", "+0", "-0"}
+#: verify's numeric options: (type, default)
+_NUMERIC_OPTIONS = {"--trials": (int, 1000), "--seed": (int, 0), "--epsilon": (float, 1e-4)}
 
 
 class _UsageError(Exception):
@@ -57,14 +59,27 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="check predictions against the numeric oracle")
     p_verify.add_argument("file")
     p_verify.add_argument("--evidence", required=True, help="directional evidence, VAR=+ or VAR=-")
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--epsilon", type=float, default=1e-4)
+    for option, (kind, default) in _NUMERIC_OPTIONS.items():
+        p_verify.add_argument(option, type=kind, default=default)
 
     p_repl = sub.add_parser("repl", help="interactive evidence queries")
     p_repl.add_argument("file")
 
     return parser
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each value that starts with '-' and follows a numeric
+    option attached to it (``--epsilon=-1e-3``), so that the option's own
+    check reads it: argparse takes a separate ``-1e-3`` or ``-inf`` for an
+    option.  A long option, and anything after ``--``, is left alone."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _NUMERIC_OPTIONS and arg[:1] == "-" and arg[:2] != "--" and "--" not in out:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _read_file(path: str) -> str:
@@ -241,7 +256,7 @@ def run_command(argv: Sequence[str], stdin: IO[str] | None = None) -> tuple[int,
     """Run one CLI invocation, returning (exit status, textual output)."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(_attach_negative_values(argv))
     except _UsageError as exc:
         return 2, f"usage error: {exc}\n"
     except SystemExit as exc:  # --help and friends print directly

@@ -15,9 +15,8 @@ package needs to know about its kind of link:
 * ``evaluate(parent_values)``: the child's exact (x, ~x) from its
   parents' exact values, for the numeric oracle.  A table without a
   trusted formula says why in ``no_formula`` instead.
-* ``margin()``: how close the table alone sits to a decision boundary;
-  a ``state_dependent`` table instead answers ``degenerate(*parent_states,
-  tol)`` at each sampled state.
+* ``margin(*parent_states)``: how close the table sits to a decision
+  boundary (a ``state_dependent`` table: at its parents' states).
 * ``warnings()``: validation warnings about the numbers.
 
 :class:`ConditionalTable` gives the defaults, and states once the cell
@@ -31,7 +30,7 @@ the whole frame too).  The constructor takes the values in that order
 and, for belief, each cell's sum over the child outcomes; labels sign and
 marker entries in its default ``cases``; and warns about possibility
 columns that do not reach 1.  A subclass states its fields, ``get``,
-``derivative``, ``evaluate``, ``margin`` or ``degenerate``, and its own
+``derivative``, ``evaluate``, ``margin``, and its own
 ``cases`` where an entry needs more than its sign.
 
 The derivatives:
@@ -116,7 +115,7 @@ class ConditionalTable:
 
     formalism: ClassVar[Formalism]
     arity: ClassVar[int]
-    state_dependent: ClassVar[bool] = False  # derivative and degeneracy read parent states
+    state_dependent: ClassVar[bool] = False  # derivative and margin read parent states
     no_formula: ClassVar[str | None] = None  # why there is no ``evaluate``, if there is none
 
     # The cell layout, set for each subclass that defines ``get``.
@@ -397,13 +396,10 @@ class PossCond1(ConditionalTable):
             max(min(self.pi_nc_given_a, a), min(self.pi_nc_given_na, na)),
         )
 
-    def degenerate(self, parent_state: PossState, tol: float = 1e-9) -> bool:
-        """Whether the state sits too close to a decision boundary for a
-        strict prediction to be meaningfully tested: some + entry's
-        dominance gap or headroom (see :func:`_poss_entry_1`) is below the
-        tolerance.
-        """
-        return any(gap < tol for _, gap in self._entries(parent_state))
+    def margin(self, parent_state: PossState) -> float:
+        """The smallest dominance gap or headroom of a + entry at the state
+        (see :func:`_poss_entry_1`)."""
+        return min(gap for _, gap in self._entries(parent_state))
 
 
 def _poss_pair_entry(joint: dict, head: dict, x_pos: bool, pi_x: float) -> tuple[QSign, float]:
@@ -514,10 +510,10 @@ class PossCond2(ConditionalTable):
             ),
         )
 
-    def degenerate(self, state_x: PossState, state_y: PossState, tol: float = 1e-9) -> bool:
-        """Two-parent analogue of :meth:`PossCond1.degenerate`, with the
+    def margin(self, state_x: PossState, state_y: PossState) -> float:
+        """Two-parent analogue of :meth:`PossCond1.margin`, over the
         fragile entries of :func:`_poss_pair_entry`."""
-        return any(gap < tol for _, gap in self._entries(state_x, state_y))
+        return min(gap for _, gap in self._entries(state_x, state_y))
 
 
 # ---------------------------------------------------------------------------

@@ -386,9 +386,8 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
         conds_by_child.setdefault(child, []).append(c)
 
     links: list[Link] = []
-    parts_of: dict[tuple[Outcome, ...], tuple] = {}  # parent outcomes -> (their names, their cells)
     for decl in doc.links:
-        table = _build_table(decl, formalisms, conds_by_child.get(decl.child, []), diags, parts_of)
+        table = _build_table(decl, formalisms, conds_by_child.get(decl.child, []), diags)
         if table is not None:
             links.append(Link(decl.child, decl.parents, table))
 
@@ -400,54 +399,42 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
 _CELL_OF: dict[str, lc.Cell] = {POS_OUT: True, NEG_OUT: False, FRAME_OUT: None}
 
 
-def _cond_key(
-    decl: LinkDecl, c: CondDecl, names: tuple[str, ...], cells: tuple[lc.Cell, ...],
-    frames_ok: bool, one_parent_per_cond: bool,
-) -> tuple | str:
-    """The cell key of a conditional whose parent outcomes (``names``,
-    ``cells``) are not simply the link's parents in order, or an error
-    message.  Such a key exists only for a 'separate' table, which names
-    one parent outcome per line and keys by (child_pos, parent index, cell)."""
-    if one_parent_per_cond:
-        if len(names) != 1:
+def _cond_key(decl: LinkDecl, c: CondDecl, frames_ok: bool) -> tuple | str:
+    """Cell key for one conditional line, or an error message.
+
+    Joint tables key by (child_pos, cell per parent in link order);
+    'separate' tables name one parent outcome per line and key by
+    (child_pos, parent index, cell)."""
+    if decl.separate:
+        if len(c.parents) != 1:
             return "per-parent tables take one conditioning outcome per line"
-        if names[0] not in decl.parents:
-            return f"outcome of {names[0]!r} does not name a parent of {decl.child!r}"
-        return (c.child.kind == POS_OUT, decl.parents.index(names[0]), cells[0])
-    if len(names) != len(decl.parents):
+        out = c.parents[0]
+        if out.var not in decl.parents:
+            return f"outcome of {out.var!r} does not name a parent of {decl.child!r}"
+        return (c.child.kind == POS_OUT, decl.parents.index(out.var), _CELL_OF[out.kind])
+    if len(c.parents) != len(decl.parents):
         return f"expected {len(decl.parents)} conditioning outcomes for {decl.child!r}"
-    if names != tuple(decl.parents):
-        return f"conditioning outcomes must follow link parent order ({', '.join(decl.parents)})"
-    return "frame outcomes are only meaningful for belief links"
+    key = [c.child.kind == POS_OUT]
+    for out, expected in zip(c.parents, decl.parents):
+        if out.var != expected:
+            return f"conditioning outcomes must follow link parent order ({', '.join(decl.parents)})"
+        key.append(_CELL_OF[out.kind])
+    if not frames_ok and None in key:
+        return "frame outcomes are only meaningful for belief links"
+    return tuple(key)
 
 
-def _collect_cells(
-    decl: LinkDecl,
-    conds: list[CondDecl],
-    diags: list[Diagnostic],
-    frames_ok: bool,
-    one_parent_per_cond: bool,
-    parts_of: dict[tuple[Outcome, ...], tuple],
-) -> dict | None:
-    """The cells a link's conditionals assign, keyed by (child_pos, cell per
-    parent in link order), or None after a diagnostic.  Each distinct tuple
-    of parent outcomes is split into names and cells once (``parts_of``)."""
+def _collect_cells(decl: LinkDecl, conds: list[CondDecl], diags: list[Diagnostic], frames_ok: bool) -> dict | None:
+    """The cells a link's conditionals assign, by :func:`_cond_key`, or None
+    after a diagnostic."""
     cells: dict = {}
     ok = True
-    expected = tuple(decl.parents)  # a document built by hand may hold a list
     for c in conds:
-        parts = parts_of.get(c.parents)
-        if parts is None:
-            parts = parts_of[c.parents] = (tuple([o.var for o in c.parents]), tuple([_CELL_OF[o.kind] for o in c.parents]))
-        names, parent_cells = parts
-        if names == expected and not one_parent_per_cond and (frames_ok or None not in parent_cells):
-            key = (c.child.kind == POS_OUT, *parent_cells)
-        else:
-            key = _cond_key(decl, c, names, parent_cells, frames_ok, one_parent_per_cond)
-            if isinstance(key, str):
-                diags.append(Diagnostic(c.line, 1, key))
-                ok = False
-                continue
+        key = _cond_key(decl, c, frames_ok)
+        if isinstance(key, str):
+            diags.append(Diagnostic(c.line, 1, key))
+            ok = False
+            continue
         if not 0.0 <= c.value <= 1.0:
             diags.append(Diagnostic(c.line, 1, f"conditional value {c.value!r} outside [0, 1]"))
             ok = False
@@ -504,12 +491,12 @@ def _layout_values(cls, cells: dict, decl: LinkDecl, diags: list[Diagnostic], in
     return [cells.get(key, 0.0) for key in keys]
 
 
-def _build_table(decl, formalisms, conds, diags, parts_of):
+def _build_table(decl, formalisms, conds, diags):
     child_form = formalisms[decl.child]
     if decl.separate and child_form is not BEL:
         diags.append(Diagnostic(decl.line, 1, "'separate' tables are only defined for belief links"))
         return None
-    cells = _collect_cells(decl, conds, diags, child_form is BEL, decl.separate, parts_of)
+    cells = _collect_cells(decl, conds, diags, child_form is BEL)
     if cells is None:
         return None
     try:

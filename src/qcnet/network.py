@@ -35,7 +35,7 @@ class NetworkError(Exception):
 
 
 class EvidenceError(NetworkError):
-    """Raised for evidence that is inconsistent with a variable's state."""
+    """Raised for evidence that is malformed or inconsistent with a variable's state."""
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,6 @@ class Link:
     def __post_init__(self) -> None:
         if len(self.parents) not in (1, 2):
             raise NetworkError(f"link into {self.child!r} must have 1 or 2 parents")
-
-    @property
-    def formalism(self) -> Formalism:
-        return self.table.formalism
-
-    @property
-    def arity(self) -> int:
-        return self.table.arity
 
 
 @dataclass(frozen=True)
@@ -245,16 +237,16 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
         for endpoint in (link.child, *link.parents):
             if endpoint not in net.variables:
                 errors.append(f"link {_link_label(link)} names unknown variable {endpoint!r}")
-        if len(link.parents) != link.arity:
+        if len(link.parents) != link.table.arity:
             errors.append(
-                f"link {_link_label(link)} has {len(link.parents)} parents but its table expects {link.arity}"
+                f"link {_link_label(link)} has {len(link.parents)} parents but its table expects {link.table.arity}"
             )
         if len(link.parents) == 2 and link.parents[0] == link.parents[1]:
             errors.append(f"link {_link_label(link)} lists the same parent twice")
         child = net.variables.get(link.child)
-        if child is not None and link.formalism is not child.formalism:
+        if child is not None and link.table.formalism is not child.formalism:
             errors.append(
-                f"link {_link_label(link)} carries a {link.formalism} table but {link.child!r} is {child.formalism}"
+                f"link {_link_label(link)} carries a {link.table.formalism} table but {link.child!r} is {child.formalism}"
             )
         for w in link.table.warnings():
             warnings.append(f"link {_link_label(link)}: {w}")
@@ -344,6 +336,18 @@ def _completion_row(var: Variable, s: QSign) -> QSign:
     return NEG_ZERO if s == POS else ZERO
 
 
+def _evidence_pair(name: str, value: object) -> tuple[QSign, QSign | None]:
+    """An evidence value for ``name`` (a change of val(x), or one paired
+    with a change of val(~x) or None) as that pair."""
+    if isinstance(value, QSign):
+        return value, None
+    if isinstance(value, tuple) and len(value) == 2:
+        dx, dnx = value
+        if isinstance(dx, QSign) and (dnx is None or isinstance(dnx, QSign)):
+            return dx, dnx
+    raise EvidenceError(f"evidence for {name!r} must be a QSign or a (QSign, QSign or None) pair, got {value!r}")
+
+
 def complete_change(
     var: Variable, partial: tuple[QSign, QSign | None] | QSign
 ) -> tuple[QSign, QSign]:
@@ -356,10 +360,7 @@ def complete_change(
     possibility depends on whether pi(x) is at 1.  A supplied complement is
     instead validated against that derivation and kept.
     """
-    if isinstance(partial, QSign):
-        delta_x, delta_nx = partial, None
-    else:
-        delta_x, delta_nx = partial
+    delta_x, delta_nx = _evidence_pair(var.name, partial)
     if delta_x.is_marker or (delta_nx is not None and delta_nx.is_marker):
         raise EvidenceError("evidence changes cannot be markers")
 
@@ -368,12 +369,10 @@ def complete_change(
             f"possibility variable {var.name!r} needs a prior before evidence can be completed"
         )
 
-    feasible = _feasible_directions(var, pos=True)
-    clipped = QSign(delta_x.code & feasible.code) if (delta_x.code & feasible.code) else None
-    if clipped is None:
-        raise EvidenceError(
-            f"evidence {delta_x} on {var.name!r} is inconsistent with its prior"
-        )
+    feasible = delta_x.code & _feasible_directions(var, pos=True).code
+    if not feasible:
+        raise EvidenceError(f"evidence {delta_x} on {var.name!r} is inconsistent with its prior")
+    clipped = QSign(feasible)
 
     derived = functools.reduce(
         QSign.union, (_completion_row(var, s) for s in (POS, ZERO, NEG) if s.issubset(clipped))
@@ -386,10 +385,6 @@ def complete_change(
             f"supplied change {delta_nx} for not-{var.name} conflicts with the derived {derived}"
         )
     return clipped, delta_nx
-
-
-def _widen(delta: tuple[QSign, QSign], zero_strict: bool) -> tuple[QSign, QSign]:
-    return delta[0].widened(zero_strict), delta[1].widened(zero_strict)
 
 
 # ---------------------------------------------------------------------------
@@ -487,28 +482,17 @@ def _require_valid(net: Network) -> CompiledNetwork:
     return compiled
 
 
-def _normalize_evidence(net: Network, evidence: Evidence) -> dict[str, tuple[QSign, QSign | None]]:
-    out: dict[str, tuple[QSign, QSign | None]] = {}
-    for name, value in evidence.items():
+def _complete_evidence(net: Network, evidence: Evidence) -> dict[str, Change]:
+    """Each evidence variable's change pair, completed against its prior;
+    every name is checked before any value is."""
+    for name in evidence:
         if name not in net.variables:
             raise NetworkError(f"evidence names unknown variable {name!r}")
-        if isinstance(value, QSign):
-            out[name] = (value, None)
-        else:
-            out[name] = (value[0], value[1])
-    return out
-
-
-def _complete_evidence(net: Network, evidence: Evidence) -> dict[str, Change]:
-    """Each evidence variable's change pair, completed against its prior."""
-    return {
-        name: complete_change(net.variables[name], partial)
-        for name, partial in _normalize_evidence(net, evidence).items()
-    }
+    return {name: complete_change(net.variables[name], value) for name, value in evidence.items()}
 
 
 def _walk(
-    steps: Iterable[_Step], completed: Mapping[str, Change], zero_strict_bridge: bool
+    steps: Iterable[_Step], completed: Mapping[str, Change]
 ) -> tuple[dict[str, Change], dict[str, tuple[Contribution, ...]]]:
     """The non-zero changes and the provenance of the given steps, taken in
     the given (topological) order; a parent without a step reads as no
@@ -524,7 +508,7 @@ def _walk(
             incoming: list[QSign] = []
             for p, b in zip(parents, bridged):
                 change = changes.get(p, ZERO_CHANGE)
-                incoming.extend(_widen(change, zero_strict_bridge) if b else change)
+                incoming.extend((change[0].widened(), change[1].widened()) if b else change)
             terms = qmatvec_terms(matrix, tuple(incoming))
             total = (qsum(terms[0]), qsum(terms[1]))
             # each parent's contribution sums its own two columns' terms
@@ -547,7 +531,7 @@ def _walk(
     return changes, provenance
 
 
-def propagate(net: Network, evidence: Evidence, zero_strict_bridge: bool = False) -> ChangeReport:
+def propagate(net: Network, evidence: Evidence) -> ChangeReport:
     """Propagate qualitative evidence through the network.
 
     Evidence changes are completed against each variable's prior, then
@@ -559,7 +543,7 @@ def propagate(net: Network, evidence: Evidence, zero_strict_bridge: bool = False
     the pre-evidence state, when the network is compiled.
     """
     compiled = _require_valid(net)
-    changes, provenance = _walk(compiled.steps, _complete_evidence(net, evidence), zero_strict_bridge)
+    changes, provenance = _walk(compiled.steps, _complete_evidence(net, evidence))
     return ChangeReport(ChangeVector(changes), compiled.matrices, provenance)
 
 

@@ -30,6 +30,7 @@ from .network import (
     PROB,
     Variable,
     _complete_evidence,
+    _evidence_pair,
     _walk,
 )
 from .signs import NEG, POS, QSign, ZERO, sign_of
@@ -344,11 +345,10 @@ def _perturb(
     return x - eps, nx
 
 
-def _state_degenerate(link: Link, values: Mapping[str, tuple[float, float]], tol: float) -> bool:
-    """Whether a state-dependent link sits within ``tol`` of a decision
-    boundary at its parents' values."""
+def _state_margin(link: Link, values: Mapping[str, tuple[float, float]]) -> float:
+    """A state-dependent link's margin at its parents' values."""
     try:
-        return link.table.degenerate(*[PossState(*values[p]) for p in link.parents], tol=tol)
+        return link.table.margin(*[PossState(*values[p]) for p in link.parents])
     except ValueError as exc:
         # an unnormalized upstream table can denormalize a computed state
         raise OracleError(f"possibility state for link into {link.child!r} is unnormalized: {exc}") from exc
@@ -377,25 +377,19 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     if net.link_of.get(spec.target) is not None:
         raise OracleError(f"target {spec.target!r} must be a root variable")
 
-    ev_names = {name for name, _ in dict(evidence).items()}
-    if ev_names != {spec.target}:
+    if set(evidence) != {spec.target}:
         raise OracleError("the oracle perturbs a single evidence variable; evidence must name exactly the target")
     wanted = POS if spec.direction == INCREASE else NEG
-    ev_value = dict(evidence)[spec.target]
-    ev_sign = ev_value if isinstance(ev_value, QSign) else ev_value[0]
-    if ev_sign != wanted:
+    if _evidence_pair(spec.target, evidence[spec.target])[0] != wanted:
         raise OracleError(f"evidence for {spec.target!r} must be {wanted} to match direction {spec.direction!r}")
 
     # Evidence on a single root changes nothing outside its descendants:
     # there every parent is unchanged, a zero change stays zero through any
-    # derivative, and, as propagate's default does, a bridged zero stays
-    # zero.  So the descendants' steps, in compiled order, predict what the
-    # full walk would.  (With zero_strict_bridge a bridged zero widens to
-    # ?, which reaches variables outside the descendants: never walk a
-    # subset in that mode.)
+    # derivative, and a bridged zero stays zero.  So the descendants' steps,
+    # in compiled order, predict what the full walk would.
     downstream = net.descendants(spec.target)
     steps = [compiled.steps[i] for i in sorted(compiled.position[v] for v in downstream)]
-    prediction = ChangeVector(_walk(steps, _complete_evidence(net, evidence), False)[0])
+    prediction = ChangeVector(_walk(steps, _complete_evidence(net, evidence))[0])
     target_form = net.variables[spec.target].formalism
     checked = sorted(
         v for v in downstream if v in compiled.pure and net.variables[v].formalism is target_form
@@ -409,13 +403,15 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     # changes only the checked variables below the target, all of them
     # non-roots.  Probability and belief margins depend on the tables
     # alone, so they are computed once per check; state-dependent
-    # (possibility) links are degenerate or not at each sampled state.
+    # (possibility) margins are computed at each sampled state.
     segment, refusal = _ancestry(net, checked)
     plan = _sampler(net).plan([spec.target, *(v for v in segment if v not in net.link_of)])
     below = [v for v in segment if v in checked_set and v != spec.target]
     segment_links = [net.link_of[v] for v in checked if v != spec.target]
-    table_degenerate = any(link.table.margin() < _DEGENERATE_TOL for link in segment_links)
     state_links = [link for link in segment_links if link.table.state_dependent]
+    table_degenerate = any(
+        link.table.margin() < _DEGENERATE_TOL for link in segment_links if not link.table.state_dependent
+    )
 
     pos_counts = {v: [0, 0, 0] for v in checked}
     neg_counts = {v: [0, 0, 0] for v in checked}
@@ -434,7 +430,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
             if refusal is not None:  # only a trial that evaluates needs a formula
                 raise OracleError(refusal)
             base = _evaluate(model, segment, {})
-            if any(_state_degenerate(link, base, _DEGENERATE_TOL) for link in state_links):
+            if any(_state_margin(link, base) < _DEGENERATE_TOL for link in state_links):
                 resampled += 1
                 continue
             break

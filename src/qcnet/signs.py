@@ -107,9 +107,6 @@ class QSign:
             raise ValueError("cannot take the union of marker values")
         return _SIGN_OF_CODE[self.code | other.code]
 
-    def __or__(self, other: "QSign") -> "QSign":
-        return self.union(other)
-
     def negated(self) -> "QSign":
         """Mirror a sign set (+ and - swap, 0 is fixed)."""
         if self.is_marker:
@@ -121,17 +118,11 @@ class QSign:
             m |= _POS
         return _SIGN_OF_CODE[m]
 
-    def widened(self, zero_strict: bool = False) -> "QSign":
-        """Monotone widening used when crossing formalisms.
-
-        Adds 0 as a possible direction.  With ``zero_strict`` a value that
-        allows 0 widens all the way to unknown, for callers that refuse to
-        carry a definite no-change across formalisms.
-        """
+    def widened(self) -> "QSign":
+        """Monotone widening used when crossing formalisms: adds 0 as a
+        possible direction."""
         if self.is_marker:
             raise ValueError("markers cannot be widened")
-        if zero_strict and self.code & _ZERO:
-            return UNKNOWN
         return _SIGN_OF_CODE[self.code | _ZERO]
 
     # -- text ------------------------------------------------------------

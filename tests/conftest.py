@@ -155,7 +155,7 @@ def poss_link_net(rng: random.Random) -> Network:
         cond = rand_poss_cond1(rng)
         # declared states cannot be resampled by the oracle, so reject
         # boundary states at generation time
-        if not cond.degenerate(PossState(*prior)):
+        if cond.margin(PossState(*prior)) >= 1e-9:
             return Network(
                 [Variable("a", POSS, prior), Variable("c", POSS)],
                 [Link("c", ("a",), cond)],
@@ -168,7 +168,7 @@ def poss_pair_net(rng: random.Random) -> Network:
     while True:
         prior_b, prior_c = rand_poss_prior(rng), rand_poss_prior(rng)
         cond = rand_poss_cond2(rng)
-        if not cond.degenerate(PossState(*prior_b), PossState(*prior_c)):
+        if cond.margin(PossState(*prior_b), PossState(*prior_c)) >= 1e-9:
             return Network(
                 [
                     Variable("b", POSS, prior_b),

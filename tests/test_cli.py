@@ -275,11 +275,24 @@ class TestUnreadableInput:
             ("--epsilon", "-0.001", "epsilon must be positive"),
             ("--epsilon", "nan", "epsilon must be finite"),
             ("--epsilon", "inf", "epsilon must be finite"),
+            # argparse would take these for options if they were not
+            # attached to theirs before parsing
+            ("--epsilon", "-1e-3", "epsilon must be positive"),
+            ("--epsilon", "-inf", "epsilon must be finite"),
+            ("--seed", "-1e3", "argument --seed: invalid int value: '-1e3'"),
         ],
     )
     def test_verify_values_out_of_range(self, option, value, message):
         status, out = run_command(["verify", MEDICAL, "--evidence", "s=+", option, value])
         assert (status, out) == (2, f"usage error: {message}\n")
+
+    def test_arguments_after_double_dash_left_alone(self):
+        argv = ["verify", MEDICAL, "--evidence", "s=+", "--", "--seed", "-1"]
+        assert cli._attach_negative_values(argv) == argv
+
+    def test_option_after_numeric_option_is_not_its_value(self):
+        status, out = run_command(["verify", MEDICAL, "--evidence", "s=+", "--epsilon", "--seed", "3"])
+        assert (status, out) == (2, "usage error: argument --epsilon: expected one argument\n")
 
 
 class TestParserReuse:

@@ -2,8 +2,11 @@
 
 import functools
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import prob_chain_net, random_polytree
 from qcnet.links import PossCond1, ProbCond1, ProbCond2
@@ -21,7 +24,9 @@ from qcnet.network import (
     propagate,
     validate,
 )
+from qcnet.oracle import INCREASE, PerturbationSpec, check_containment
 from qcnet.signs import (
+    DOWN,
     NEG,
     NEG_ZERO,
     POS,
@@ -274,9 +279,6 @@ class TestBridgeChange:
         assert contrib.change == report.changes["c"] == (POS, NEG)
         assert not contrib.bridged
 
-    def test_strict_mode_zero_becomes_unknown(self):
-        assert (ZERO.widened(zero_strict=True), POS.widened(zero_strict=True)) == (UNKNOWN, POS_ZERO)
-
     def test_subsets_widen_elementwise(self):
         assert (POS_ZERO.widened(), UNKNOWN.widened()) == (POS_ZERO, UNKNOWN)
 
@@ -356,13 +358,54 @@ class TestPropagate:
         assert set(report.matrices) == {"k", "v", "a", "p", "l"}
         assert report.matrices["a"].shape == (2, 4)
 
-    def test_strict_bridge_mode_widens_zero(self, medical_net):
-        # with t pinned to no-change, the strict bridge refuses to carry the
-        # definite zero of bel(k)'s input across the boundary into pain
-        loose = propagate(medical_net, {"t": (ZERO, ZERO)})
-        strict = propagate(medical_net, {"t": (ZERO, ZERO)}, zero_strict_bridge=True)
-        assert loose.changes["p"] == Z
-        assert strict.changes["p"] == (UNKNOWN, UNKNOWN)
+
+sign_sets = st.sampled_from(SIGN_SETS)
+markers = st.sampled_from((UP, DOWN))
+not_a_sign = st.one_of(st.none(), st.text(max_size=3), st.integers(), st.floats(allow_nan=False))
+# evidence values of the wrong shape: neither a QSign nor a pair of a QSign
+# and a QSign or None
+malformed = st.one_of(
+    not_a_sign,
+    st.tuples(),
+    st.tuples(sign_sets),
+    st.tuples(sign_sets, st.one_of(sign_sets, st.none()), sign_sets),
+    st.tuples(not_a_sign, st.one_of(sign_sets, st.none())),
+    st.tuples(sign_sets, not_a_sign.filter(lambda v: v is not None)),
+    st.lists(sign_sets, min_size=2, max_size=2),
+)
+# the right shape, with a marker in either slot
+with_markers = st.one_of(
+    markers, st.tuples(markers, st.one_of(sign_sets, st.none())), st.tuples(sign_sets, markers)
+)
+
+
+class TestMalformedEvidence:
+    """Every evidence value propagation cannot read raises EvidenceError."""
+
+    @given(st.one_of(malformed, with_markers))
+    def test_propagate_raises_evidence_error(self, value):
+        with pytest.raises(EvidenceError):
+            propagate(two_node_net(), {"a": value})
+
+    @given(malformed, st.booleans())
+    def test_unknown_name_is_reported_first(self, value, unknown_first):
+        items = [("zz", POS), ("a", value)]
+        evidence = dict(items[:: 1 if unknown_first else -1])
+        with pytest.raises(NetworkError) as info:
+            propagate(two_node_net(), evidence)
+        assert type(info.value) is NetworkError
+        assert str(info.value) == "evidence names unknown variable 'zz'"
+
+    @given(malformed)
+    def test_check_containment_raises_evidence_error(self, value):
+        with pytest.raises(EvidenceError):
+            check_containment(two_node_net(), {"a": value}, PerturbationSpec("a", INCREASE, trials=1))
+
+    @pytest.mark.parametrize("value", [(POS,), "+"])
+    def test_message_names_the_variable_and_value(self, value):
+        message = f"evidence for 'a' must be a QSign or a (QSign, QSign or None) pair, got {value!r}"
+        with pytest.raises(EvidenceError, match=f"^{re.escape(message)}$"):
+            propagate(two_node_net(), {"a": value})
 
 
 class TestProvenance:

@@ -260,7 +260,6 @@ class TestSubsetsAndCanonicals:
         assert NEG.widened() == NEG_ZERO
         assert ZERO.widened() == ZERO
         assert UNKNOWN.widened() == UNKNOWN
-        assert ZERO.widened(zero_strict=True) == UNKNOWN
 
     def test_negation(self):
         assert POS.negated() == NEG
