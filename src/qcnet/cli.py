@@ -72,10 +72,13 @@ def _attach_negative_values(argv: Sequence[str]) -> list[str]:
     """``argv`` with each value that starts with '-' and follows a numeric
     option attached to it (``--epsilon=-1e-3``), so that the option's own
     check reads it: argparse takes a separate ``-1e-3`` or ``-inf`` for an
-    option.  A long option, and anything after ``--``, is left alone."""
+    option.  As in argparse, the option may be a prefix that starts no
+    other verify option (``--eps``, not ``--e``).  A long option, and
+    anything after ``--``, is left alone."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _NUMERIC_OPTIONS and arg[:1] == "-" and arg[:2] != "--" and "--" not in out:
+        named = [name for name in ("--evidence", *_NUMERIC_OPTIONS) if out and name.startswith(out[-1])]
+        if len(named) == 1 and named[0] in _NUMERIC_OPTIONS and arg[:1] == "-" and arg[:2] != "--" and "--" not in out:
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -6,17 +6,19 @@ package needs to know about its kind of link:
 
 * ``formalism`` and ``arity``: the child's formalism and the number of
   parents.
-* ``derivative(*parent_states)``: the matrix of qualitative derivatives
-  that propagation multiplies changes through, rows (x, ~x) of the child
-  by two columns (y, ~y) per parent.  Only a ``state_dependent`` table
-  reads its parents' current :class:`PossState`; the others take none.
+* ``_entries(*parent_states)``: each entry of the derivative matrix, row
+  by row, with its gap, the smallest ``abs`` of the numbers whose signs
+  decide it.  The base class derives from it ``derivative``, the matrix
+  that propagation multiplies changes through (rows (x, ~x) of the child
+  by two columns (y, ~y) per parent), and ``margin``, the smallest gap:
+  how close the table sits to a decision boundary.  Only a
+  ``state_dependent`` table reads its parents' current
+  :class:`PossState`; the others take none.
 * ``cases(matrix)``: the label of each matrix entry, as ``explain``
   prints it.
 * ``evaluate(parent_values)``: the child's exact (x, ~x) from its
   parents' exact values, for the numeric oracle.  A table without a
   trusted formula says why in ``no_formula`` instead.
-* ``margin(*parent_states)``: how close the table sits to a decision
-  boundary (a ``state_dependent`` table: at its parents' states).
 * ``warnings()``: validation warnings about the numbers.
 
 :class:`ConditionalTable` gives the defaults, and states once the cell
@@ -30,8 +32,8 @@ the whole frame too).  The constructor takes the values in that order
 and, for belief, each cell's sum over the child outcomes; labels sign and
 marker entries in its default ``cases``; and warns about possibility
 columns that do not reach 1.  A subclass states its fields, ``get``,
-``derivative``, ``evaluate``, ``margin``, and its own
-``cases`` where an entry needs more than its sign.
+``_entries``, ``evaluate``, and its own ``cases`` where an entry needs
+more than its sign.
 
 The derivatives:
 
@@ -55,6 +57,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import ClassVar
 
@@ -169,10 +172,20 @@ class ConditionalTable:
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(_CASES[entry] for entry in row) for row in matrix.rows)
 
-    def margin(self) -> float:
-        """Smallest gap between two numbers of the table whose order decides
-        an entry; infinite when no entry is decided by the table alone."""
-        return math.inf
+    def _entries(self, *parent_states: PossState):
+        """(entry, gap) of every matrix entry, row by row; none by default."""
+        return ()
+
+    def derivative(self, *parent_states: PossState) -> QMatrix:
+        """The entries of ``_entries``, as rows (x, ~x) of the child."""
+        entries = tuple([entry for entry, _ in self._entries(*parent_states)])
+        half = len(entries) // 2
+        return QMatrix((entries[:half], entries[half:]))
+
+    def margin(self, *parent_states: PossState) -> float:
+        """The smallest gap of ``_entries``; infinite when there is none."""
+        gaps = [gap for _, gap in self._entries(*parent_states)]
+        return min(gaps) if gaps else math.inf
 
     def warnings(self) -> tuple[str, ...]:
         """Possibility: conditioning columns whose values do not reach 1."""
@@ -224,16 +237,17 @@ class ProbCond1(ConditionalTable):
         p = self.p_c_given_a if parent_pos else self.p_c_given_na
         return p if child_pos else 1.0 - p
 
-    def derivative(self) -> QMatrix:
+    def _entries(self):
         """2x2 matrix over child outcomes (c, ~c) by parent outcomes (a, ~a).
 
         Entry (x, y) is the sign of p(x|y) - p(x|~y).  Complementing either
-        the child or the parent outcome flips the difference exactly, so the
-        matrix is built from the single sign of p(c|a) - p(c|~a).
+        the child or the parent outcome flips the difference exactly, so
+        every entry is decided by the one difference p(c|a) - p(c|~a).
         """
-        s = sign_of(self.p_c_given_a - self.p_c_given_na)
+        diff = self.p_c_given_a - self.p_c_given_na
+        s, gap = sign_of(diff), abs(diff)
         n = s.negated()
-        return QMatrix(((s, n), (n, s)))
+        return (s, gap), (n, gap), (n, gap), (s, gap)
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Total probability."""
@@ -241,18 +255,13 @@ class ProbCond1(ConditionalTable):
         p_c = a * self.p_c_given_a + na * self.p_c_given_na
         return p_c, 1.0 - p_c
 
-    def margin(self) -> float:
-        return abs(self.p_c_given_a - self.p_c_given_na)
 
-
-def _pair_terms(get, child_pos: bool, x_first: bool, x_pos: bool) -> tuple[float, float]:
-    """Synergy and offset terms for entry (z, x), co-parent fixed at its
+def _pair_terms(get, x_first: bool, x_pos: bool) -> tuple[float, float]:
+    """Synergy and offset terms for entry (d, x), co-parent fixed at its
     positive outcome."""
 
     def p(xv: bool, yv: bool) -> float:
-        if x_first:
-            return get(child_pos, xv, yv)
-        return get(child_pos, yv, xv)
+        return get(True, xv, yv) if x_first else get(True, yv, xv)
 
     synergy = p(x_pos, True) + p(not x_pos, False) - p(x_pos, False) - p(not x_pos, True)
     offset = p(x_pos, False) - p(not x_pos, False)
@@ -278,23 +287,24 @@ class ProbCond2(ConditionalTable):
             p = self.p_d_given_nb_c if second_pos else self.p_d_given_nb_nc
         return p if child_pos else 1.0 - p
 
-    def derivative(self) -> QMatrix:
+    def _entries(self):
         """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
 
         Each entry adds the sign of the synergy term (how much the two parents
         reinforce each other) to the sign of the remaining per-outcome
         difference.  Complementing the child flips both terms exactly, so the
-        second row is the negation of the first."""
+        second row is the negation of the first, decided by the same stored
+        numbers and so with the same gaps."""
         row = []
         for x_first in (True, False):
             for x_pos in (True, False):
-                synergy, offset = _pair_terms(self.get, True, x_first, x_pos)
-                row.append(qadd(sign_of(synergy), sign_of(offset)))
-        return QMatrix((tuple(row), tuple(e.negated() for e in row)))
+                synergy, offset = _pair_terms(self.get, x_first, x_pos)
+                row.append((qadd(sign_of(synergy), sign_of(offset)), min(abs(synergy), abs(offset))))
+        return row + [(entry.negated(), gap) for entry, gap in row]
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         def label(child_pos: bool, j: int, entry: QSign) -> str:
-            synergy, offset = _pair_terms(self.get, True, j < 2, j % 2 == 0)
+            synergy, offset = _pair_terms(self.get, j < 2, j % 2 == 0)
             s_syn, s_off = sign_of(synergy), sign_of(offset)
             if not child_pos:  # complementing the child flips both terms
                 s_syn, s_off = s_syn.negated(), s_off.negated()
@@ -314,15 +324,6 @@ class ProbCond2(ConditionalTable):
             nb * nc * self.p_d_given_nb_nc,
         ))
         return p_d, 1.0 - p_d
-
-    def margin(self) -> float:
-        m = float("inf")
-        for child_pos in (True, False):
-            for x_first in (True, False):
-                for x_pos in (True, False):
-                    synergy, offset = _pair_terms(self.get, child_pos, x_first, x_pos)
-                    m = min(m, abs(synergy), abs(offset))
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +370,19 @@ class PossCond1(ConditionalTable):
         return self.pi_nc_given_a if parent_pos else self.pi_nc_given_na
 
     def _entries(self, parent_state: PossState):
-        """(entry, gap) of every matrix entry, row by row; each row is
-        decided from its two joints min(pi(c|y), pi(y)), computed once."""
-        pi_a, pi_na = parent_state.pi_x, parent_state.pi_nx
-        for cond_a, cond_na in ((self.pi_c_given_a, self.pi_c_given_na), (self.pi_nc_given_a, self.pi_nc_given_na)):
-            joint_a, joint_na = min(cond_a, pi_a), min(cond_na, pi_na)
-            yield _poss_entry_1(joint_a - joint_na, cond_a - pi_a)
-            yield _poss_entry_1(joint_na - joint_a, cond_na - pi_na)
-
-    def derivative(self, parent_state: PossState) -> QMatrix:
         """2x2 matrix of {+, 0, up, down} entries.
 
         An entry is + when the parent outcome currently determines the child
         value with room to move in both directions, the up marker when only a
         rise in the parent could start to matter, the down marker when only a
-        fall could, and 0 otherwise.
+        fall could, and 0 otherwise.  Each row is decided, with the gaps of
+        :func:`_poss_entry_1`, from its two joints min(pi(c|y), pi(y)).
         """
-        entries = [entry for entry, _ in self._entries(parent_state)]
-        return QMatrix((tuple(entries[:2]), tuple(entries[2:])))
+        pi_a, pi_na = parent_state.pi_x, parent_state.pi_nx
+        for cond_a, cond_na in ((self.pi_c_given_a, self.pi_c_given_na), (self.pi_nc_given_a, self.pi_nc_given_na)):
+            joint_a, joint_na = min(cond_a, pi_a), min(cond_na, pi_na)
+            yield _poss_entry_1(joint_a - joint_na, cond_a - pi_a)
+            yield _poss_entry_1(joint_na - joint_a, cond_na - pi_na)
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Sup-min."""
@@ -395,11 +391,6 @@ class PossCond1(ConditionalTable):
             max(min(self.pi_c_given_a, a), min(self.pi_c_given_na, na)),
             max(min(self.pi_nc_given_a, a), min(self.pi_nc_given_na, na)),
         )
-
-    def margin(self, parent_state: PossState) -> float:
-        """The smallest dominance gap or headroom of a + entry at the state
-        (see :func:`_poss_entry_1`)."""
-        return min(gap for _, gap in self._entries(parent_state))
 
 
 def _poss_pair_entry(joint: dict, head: dict, x_pos: bool, pi_x: float) -> tuple[QSign, float]:
@@ -465,9 +456,14 @@ class PossCond2(ConditionalTable):
         return self.pi_nd_given_nb_c if second_pos else self.pi_nd_given_nb_nc
 
     def _entries(self, state_x: PossState, state_y: PossState):
-        """(entry, gap) of every matrix entry, row by row.  The joints of
-        each child outcome and parent order are computed once, for both of
-        the parent's outcomes."""
+        """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
+
+        Joint possibilities are min-combinations of the conditional and the two
+        parent states; an outcome's entry considers both co-parent routes, and
+        either one sufficing for dominance-with-headroom yields +.  The joints
+        of each child outcome and parent order are computed once, for both of
+        the parent's outcomes; the gaps are those of :func:`_poss_pair_entry`.
+        """
         get = self.get
         for child_pos in (True, False):
             for x_first, sx, sy in ((True, state_x, state_y), (False, state_y, state_x)):
@@ -481,16 +477,6 @@ class PossCond2(ConditionalTable):
                         head[xv, yv] = min(c, pi_yv)
                 for x_pos in (True, False):
                     yield _poss_pair_entry(joint, head, x_pos, sx.get(x_pos))
-
-    def derivative(self, state_x: PossState, state_y: PossState) -> QMatrix:
-        """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
-
-        Joint possibilities are min-combinations of the conditional and the two
-        parent states; an outcome's entry considers both co-parent routes, and
-        either one sufficing for dominance-with-headroom yields +.
-        """
-        entries = [entry for entry, _ in self._entries(state_x, state_y)]
-        return QMatrix((tuple(entries[:4]), tuple(entries[4:])))
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Sup-min."""
@@ -509,11 +495,6 @@ class PossCond2(ConditionalTable):
                 min(self.pi_nd_given_nb_nc, nb, nc),
             ),
         )
-
-    def margin(self, state_x: PossState, state_y: PossState) -> float:
-        """Two-parent analogue of :meth:`PossCond1.margin`, over the
-        fragile entries of :func:`_poss_pair_entry`."""
-        return min(gap for _, gap in self._entries(state_x, state_y))
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +528,13 @@ class BelCond1(ConditionalTable):
             return self.bel_nc_given_frame
         return self.bel_nc_given_a if cell else self.bel_nc_given_na
 
-    def derivative(self) -> QMatrix:
+    def _entries(self):
         """2x2 matrix: entry (x, y) is the sign of bel(x|y) - bel(x|frame)."""
-        return QMatrix((
-            (sign_of(self.bel_c_given_a - self.bel_c_given_frame), sign_of(self.bel_c_given_na - self.bel_c_given_frame)),
-            (sign_of(self.bel_nc_given_a - self.bel_nc_given_frame), sign_of(self.bel_nc_given_na - self.bel_nc_given_frame)),
-        ))
+        diffs = (
+            self.bel_c_given_a - self.bel_c_given_frame, self.bel_c_given_na - self.bel_c_given_frame,
+            self.bel_nc_given_a - self.bel_nc_given_frame, self.bel_nc_given_na - self.bel_nc_given_frame,
+        )
+        return [(sign_of(diff), abs(diff)) for diff in diffs]
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Mass-weighted sums over the outcome, its complement and the frame."""
@@ -562,13 +544,6 @@ class BelCond1(ConditionalTable):
             sum((a * self.bel_c_given_a, na * self.bel_c_given_na, frame * self.bel_c_given_frame)),
             sum((a * self.bel_nc_given_a, na * self.bel_nc_given_na, frame * self.bel_nc_given_frame)),
         )
-
-    def margin(self) -> float:
-        m = float("inf")
-        for child_pos in (True, False):
-            for parent_pos in (True, False):
-                m = min(m, abs(self.get(child_pos, parent_pos) - self.get(child_pos, None)))
-        return m
 
 
 def _masses(pair: Pair) -> tuple[float, float, float]:
@@ -601,26 +576,18 @@ class BelCond2Joint(ConditionalTable):
     def _diffs(self, child_pos: bool, x_first: bool, x_pos: bool) -> tuple[float, float, float]:
         """bel(z | x, Y) - bel(z | frame, Y) over the co-parent cells Y."""
         def b(xc: Cell, yc: Cell) -> float:
-            if x_first:
-                return self.get(child_pos, xc, yc)
-            return self.get(child_pos, yc, xc)
+            return self.get(child_pos, xc, yc) if x_first else self.get(child_pos, yc, xc)
 
         return tuple(b(x_pos, yc) - b(None, yc) for yc in CELLS)  # type: ignore[return-value]
 
-    def derivative(self) -> QMatrix:
+    def _entries(self):
         """2x4 matrix: entry (z, x) adds, over the three co-parent
         conditioning cells, the sign of bel(z | x, Y) - bel(z | frame, Y)."""
-        rows = []
         for child_pos in (True, False):
-            row = []
             for x_first in (True, False):
                 for x_pos in (True, False):
-                    acc = ZERO
-                    for diff in self._diffs(child_pos, x_first, x_pos):
-                        acc = qadd(acc, sign_of(diff))
-                    row.append(acc)
-            rows.append(tuple(row))
-        return QMatrix(tuple(rows))
+                    diffs = self._diffs(child_pos, x_first, x_pos)
+                    yield reduce(qadd, map(sign_of, diffs)), min(map(abs, diffs))
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         return _label_cells(
@@ -641,15 +608,6 @@ class BelCond2Joint(ConditionalTable):
             sum([m * cells[k + 9] for k, m in enumerate(joint)]),
         )
 
-    def margin(self) -> float:
-        m = float("inf")
-        for child_pos in (True, False):
-            for x_first in (True, False):
-                for x_pos in (True, False):
-                    for diff in self._diffs(child_pos, x_first, x_pos):
-                        m = min(m, abs(diff))
-        return m
-
 
 _JOINT_INDEX = {key: i for i, key in enumerate(BelCond2Joint.cell_keys)}
 
@@ -665,23 +623,18 @@ class BelCond2Separate(ConditionalTable):
     for_first: BelCond1
     for_second: BelCond1
 
-    def derivative(self) -> QMatrix:
+    def _entries(self):
         """2x4 matrix: the child weakly follows a parent outcome when
         conditioning on it gives at least as much belief as the frame does;
         otherwise the dependence is indeterminate.  Note the weak
-        inequality: equality still reads as +.
+        inequality: equality still reads as +.  The table has no formula,
+        so no gap is fragile.
         """
-        rows = []
         for child_pos in (True, False):
-            row = []
             for table in (self.for_first, self.for_second):
                 for x_pos in (True, False):
-                    if table.get(child_pos, x_pos) >= table.get(child_pos, None):
-                        row.append(POS)
-                    else:
-                        row.append(UNKNOWN)
-            rows.append(tuple(row))
-        return QMatrix(tuple(rows))
+                    weak = table.get(child_pos, x_pos) >= table.get(child_pos, None)
+                    yield (POS if weak else UNKNOWN), math.inf
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         return _label_cells(

@@ -400,10 +400,10 @@ Evidence = Mapping[str, QSign | tuple[QSign, QSign | None]]
 
 
 class ChangeVector(Mapping[str, Change]):
-    """Per-variable change pairs; unmentioned variables read as no change."""
+    """The non-zero change pair of each variable; any other reads as no change."""
 
     def __init__(self, entries: Mapping[str, Change] = ()):
-        self._entries = dict(entries)
+        self._entries = {name: change for name, change in dict(entries).items() if change != ZERO_CHANGE}
         for name, (dx, dnx) in self._entries.items():
             if dx.is_marker or dnx.is_marker:
                 raise NetworkError(f"change of {name!r} cannot be a marker")
@@ -414,6 +414,9 @@ class ChangeVector(Mapping[str, Change]):
     def get(self, name: str, default: Change = ZERO_CHANGE) -> Change:
         return self._entries.get(name, default)
 
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
     def __iter__(self):
         return iter(sorted(self._entries))
 
@@ -423,8 +426,7 @@ class ChangeVector(Mapping[str, Change]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChangeVector):
             return NotImplemented
-        names = set(self._entries) | set(other._entries)
-        return all(self[n] == other[n] for n in names)
+        return self._entries == other._entries
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}: ({dx}, {dnx})" for n, (dx, dnx) in sorted(self._entries.items()))

@@ -280,11 +280,22 @@ class TestUnreadableInput:
             ("--epsilon", "-1e-3", "epsilon must be positive"),
             ("--epsilon", "-inf", "epsilon must be finite"),
             ("--seed", "-1e3", "argument --seed: invalid int value: '-1e3'"),
+            # and so would they after an abbreviated option
+            ("--eps", "-1e-3", "epsilon must be positive"),
+            ("--eps", "-inf", "epsilon must be finite"),
+            ("--see", "-1e3", "argument --seed: invalid int value: '-1e3'"),
         ],
     )
     def test_verify_values_out_of_range(self, option, value, message):
         status, out = run_command(["verify", MEDICAL, "--evidence", "s=+", option, value])
         assert (status, out) == (2, f"usage error: {message}\n")
+        assert run_command(["verify", MEDICAL, "--evidence", "s=+", f"{option}={value}"]) == (status, out)
+
+    def test_prefix_shared_with_evidence_is_left_alone(self):
+        argv = ["verify", MEDICAL, "--evidence", "s=+", "--e", "-1e-3"]
+        assert cli._attach_negative_values(argv) == argv
+        status, out = run_command(argv)
+        assert (status, out) == (2, "usage error: ambiguous option: --e could match --evidence, --epsilon\n")
 
     def test_arguments_after_double_dash_left_alone(self):
         argv = ["verify", MEDICAL, "--evidence", "s=+", "--", "--seed", "-1"]

@@ -30,7 +30,7 @@ from qcnet.links import (
     ProbCond1,
     ProbCond2,
 )
-from qcnet.signs import DOWN, NEG, POS, UNKNOWN, UP, ZERO, sign_of
+from qcnet.signs import DOWN, NEG, POS, UNKNOWN, UP, ZERO, qadd, sign_of
 
 EPS = 1e-4
 TOL = 1e-12
@@ -536,6 +536,152 @@ class TestPossEntriesMatchPerEntryRules:
         rows = tuple(entry for entry, _ in want)
         assert cond.derivative(sx, sy).rows == (rows[:4], rows[4:])
         assert cond.margin(sx, sy) == min(gap for _, gap in want)
+
+
+# -- probability and belief entries against their former formulas ----------
+# Each reference below is the table's ``derivative`` or ``margin`` as it was
+# when the two were stated apart, each with its own copy of the loops.
+
+def ref_prob1_derivative(cond):
+    s = sign_of(cond.p_c_given_a - cond.p_c_given_na)
+    n = s.negated()
+    return ((s, n), (n, s))
+
+
+def ref_prob1_margin(cond):
+    return abs(cond.p_c_given_a - cond.p_c_given_na)
+
+
+def ref_pair_terms(get, child_pos, x_first, x_pos):
+    def p(xv, yv):
+        if x_first:
+            return get(child_pos, xv, yv)
+        return get(child_pos, yv, xv)
+
+    synergy = p(x_pos, True) + p(not x_pos, False) - p(x_pos, False) - p(not x_pos, True)
+    offset = p(x_pos, False) - p(not x_pos, False)
+    return synergy, offset
+
+
+def ref_prob2_derivative(cond):
+    row = []
+    for x_first in (True, False):
+        for x_pos in (True, False):
+            synergy, offset = ref_pair_terms(cond.get, True, x_first, x_pos)
+            row.append(qadd(sign_of(synergy), sign_of(offset)))
+    return (tuple(row), tuple(e.negated() for e in row))
+
+
+def ref_prob2_margin(cond):
+    """Both rows' terms, the second row's from the complements 1 - p."""
+    m = float("inf")
+    for child_pos in (True, False):
+        for x_first in (True, False):
+            for x_pos in (True, False):
+                synergy, offset = ref_pair_terms(cond.get, child_pos, x_first, x_pos)
+                m = min(m, abs(synergy), abs(offset))
+    return m
+
+
+def ref_bel1_derivative(cond):
+    return tuple(
+        tuple(sign_of(cond.get(child_pos, parent_pos) - cond.get(child_pos, None)) for parent_pos in (True, False))
+        for child_pos in (True, False)
+    )
+
+
+def ref_bel1_margin(cond):
+    m = float("inf")
+    for child_pos in (True, False):
+        for parent_pos in (True, False):
+            m = min(m, abs(cond.get(child_pos, parent_pos) - cond.get(child_pos, None)))
+    return m
+
+
+def ref_bel_diffs(cond, child_pos, x_first, x_pos):
+    def b(xc, yc):
+        if x_first:
+            return cond.get(child_pos, xc, yc)
+        return cond.get(child_pos, yc, xc)
+
+    return tuple(b(x_pos, yc) - b(None, yc) for yc in CELLS)
+
+
+def ref_bel2_derivative(cond):
+    rows = []
+    for child_pos in (True, False):
+        row = []
+        for x_first in (True, False):
+            for x_pos in (True, False):
+                acc = ZERO
+                for diff in ref_bel_diffs(cond, child_pos, x_first, x_pos):
+                    acc = qadd(acc, sign_of(diff))
+                row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_bel2_margin(cond):
+    m = float("inf")
+    for child_pos in (True, False):
+        for x_first in (True, False):
+            for x_pos in (True, False):
+                for diff in ref_bel_diffs(cond, child_pos, x_first, x_pos):
+                    m = min(m, abs(diff))
+    return m
+
+
+@st.composite
+def bel_columns(draw, n):
+    """Child-outcome row, then complement row, of ``n`` columns whose two
+    beliefs sum to at most 1."""
+    pos = draw(st.lists(grid_or_unit, min_size=n, max_size=n))
+    neg = [min(v, 1.0 - p) for v, p in zip(draw(st.lists(grid_or_unit, min_size=n, max_size=n)), pos)]
+    return pos + neg
+
+
+class TestProbBelEntriesMatchFormerFormulas:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(grid_or_unit, min_size=2, max_size=2))
+    def test_prob_single_parent(self, values):
+        cond = ProbCond1(*values)
+        assert cond.derivative().rows == ref_prob1_derivative(cond)
+        assert cond.margin() == ref_prob1_margin(cond)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(grid_or_unit, min_size=4, max_size=4))
+    def test_prob_two_parents(self, values):
+        # the second row's gaps are now the first's: the stored numbers
+        # decide both rows, and the complements round differently
+        cond = ProbCond2(*values)
+        assert cond.derivative().rows == ref_prob2_derivative(cond)
+        new, old = cond.margin(), ref_prob2_margin(cond)
+        assert abs(new - old) <= 1e-15
+        # the oracle's resample decision can differ only for a gap within
+        # that rounding of its tolerance (the next test)
+        if abs(old - 1e-9) > 1e-15:
+            assert (new < 1e-9) == (old < 1e-9)
+
+    def test_prob_two_parents_gap_at_the_tolerance(self):
+        # found by the property above: the stored numbers differ by exactly
+        # the tolerance, and their complements 1 - p by just less
+        cond = ProbCond2(0.0, 0.0, 0.0, 1e-9)
+        assert cond.margin() == 1e-9
+        assert ref_prob2_margin(cond) == 1.0 - (1.0 - 1e-9) < 1e-9
+
+    @settings(max_examples=400, deadline=None)
+    @given(bel_columns(3))
+    def test_bel_single_parent(self, values):
+        cond = BelCond1(*values)
+        assert cond.derivative().rows == ref_bel1_derivative(cond)
+        assert cond.margin() == ref_bel1_margin(cond)
+
+    @settings(max_examples=400, deadline=None)
+    @given(bel_columns(9))
+    def test_bel_two_parents_joint(self, values):
+        cond = BelCond2Joint.from_cells(values)
+        assert cond.derivative().rows == ref_bel2_derivative(cond)
+        assert cond.margin() == ref_bel2_margin(cond)
 
 
 # -- belief, two parents -----------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import prob_chain_net, random_polytree
 from qcnet.links import PossCond1, ProbCond1, ProbCond2
 from qcnet.network import (
     BEL,
+    ChangeVector,
     EvidenceError,
     Link,
     Network,
@@ -148,6 +149,27 @@ class TestConstruction:
 
         with pytest.raises(NetworkError):
             ChangeVector({"a": (UP, ZERO)})
+
+    def test_change_vector_lookups_agree(self):
+        # membership, get, len and iteration see the non-zero entries only;
+        # indexing reads an unmentioned name as no change, as Counter does
+        net = Network(
+            [Variable("a", PROB), Variable("b", PROB), Variable("c", PROB)],
+            [Link("b", ("a",), ProbCond1(0.8, 0.2))],
+        )
+        changes = propagate(net, {"a": POS}).changes
+        assert list(changes) == ["a", "b"] and len(changes) == 2
+        for name in ("a", "b"):
+            assert name in changes
+            assert changes.get(name, None) == changes[name] != (ZERO, ZERO)
+        for name in ("c", "zz"):
+            assert name not in changes
+            assert changes.get(name, None) is None
+            assert changes[name] == (ZERO, ZERO)
+        assert dict(changes.items()) == {"a": changes["a"], "b": changes["b"]}
+        # a zero change passed in is no entry either
+        built = ChangeVector({"c": (ZERO, ZERO), "b": changes["b"], "a": changes["a"]})
+        assert "c" not in built and list(built) == ["a", "b"] and built == changes
 
 
 class TestCompleteChange:

@@ -8,7 +8,7 @@ import pytest
 
 from qcnet.links import ConditionalTable, ProbCond1
 from qcnet.network import POSS, PROB, Link, Network, Variable, explain, propagate, validate
-from qcnet.oracle import INCREASE, OracleError, PerturbationSpec, check_containment
+from qcnet.oracle import INCREASE, RESAMPLE_CAP, OracleError, PerturbationSpec, check_containment
 from qcnet.signs import NEG, POS, QMatrix
 
 
@@ -34,6 +34,24 @@ class Opaque(Copy):
     """The same derivative, but no exact formula."""
 
     no_formula = "opaque tables have no formula"
+
+
+@dataclass(frozen=True)
+class Gapped(ConditionalTable):
+    """A copying link stated as one rule per entry: every entry is decided
+    with the same given gap, so its derivative and margin come from the
+    base class."""
+
+    formalism = PROB
+    arity = 1
+
+    gap: float
+
+    def _entries(self):
+        return (POS, self.gap), (NEG, self.gap), (NEG, self.gap), (POS, self.gap)
+
+    def evaluate(self, parent_values):
+        return parent_values[0]
 
 
 def copy_net(table: ConditionalTable) -> Network:
@@ -76,3 +94,29 @@ class TestTableProtocol:
         )
         assert explain(net)[0].matrix == ProbCond1(0.8, 0.2).derivative()
         assert propagate(net, {"c": POS}).changes["c"] == (POS, NEG)
+
+
+class TestTableStatingOnlyEntries:
+    def test_propagates_and_explains(self):
+        net = copy_net(Gapped(0.1))
+        assert validate(net).ok
+        changes = propagate(net, {"a": POS}).changes
+        assert changes["c"] == changes["d"] == (POS, NEG)
+        entry = explain(net)[0]
+        assert entry.matrix == QMatrix(((POS, NEG), (NEG, POS)))
+        assert entry.cases == (("follows", "varies-inversely"), ("varies-inversely", "follows"))
+
+    def test_wide_gap_completes_every_trial(self):
+        spec = PerturbationSpec("a", INCREASE, trials=20, seed=3)
+        report = check_containment(copy_net(Gapped(0.1)), {"a": POS}, spec)
+        assert report.passed
+        assert (report.completed, report.resampled, report.skipped) == (20, 0, 0)
+
+    def test_narrow_gap_resamples_and_skips_every_trial(self):
+        assert Gapped(1e-12).margin() == 1e-12
+        spec = PerturbationSpec("a", INCREASE, trials=5, seed=3)
+        report = check_containment(copy_net(Gapped(1e-12)), {"a": POS}, spec)
+        assert (report.completed, report.resampled, report.skipped) == (0, 5 * RESAMPLE_CAP, 5)
+
+    def test_table_stating_its_derivative_has_no_margin(self):
+        assert Copy().margin() == float("inf")
