@@ -244,13 +244,14 @@ def _cmd_repl(ns, stdin: IO[str]) -> tuple[int, str]:
             out.append(f"error: {exc}\n")
             continue
         if holding:
-            held = _merge_evidence(held, evidence)
-            evidence = held
+            evidence = _merge_evidence(held, evidence)
         try:
             report = propagate(net, evidence)
         except NetworkError as exc:
             out.append(f"error: {exc}\n")
             continue
+        if holding:
+            held = evidence  # kept only once propagate accepts it
         out.append(_change_table(net, report))
     return 0, "".join(out)
 

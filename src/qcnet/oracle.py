@@ -368,6 +368,14 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     variables and their ancestors) are visited: a check costs
     O(d log d + s) for d descendants and a segment of s variables, and each
     trial O(s), whatever the size of the rest of the network.
+
+    A check is draw-free when the target and every root of the segment
+    have declared priors.  Every check of a possibility target is: evidence
+    on a possibility variable needs its prior, and validation requires one
+    on every possibility variable that feeds a possibility link.  The
+    trials of a draw-free check all see the same numbers, so it evaluates
+    one trial and multiplies that trial's counts by ``spec.trials``: the
+    report is the one every trial would give, at the cost of one.
     """
     _require_valid(net)
     compiled = net.compiled
@@ -413,14 +421,28 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         link.table.margin() < _DEGENERATE_TOL for link in segment_links if not link.table.state_dependent
     )
 
+    # what every trial reads of the prediction and the bridges
+    predicted = {v: prediction[v] for v in checked}
+    bridge_parents = [
+        (child, [p for p in net.link_of[child].parents if p in checked_set]) for child in bridge
+    ]
+
+    # The check is draw-free when every variable in its plan has a declared
+    # prior: _draw then takes every prior from its declaration, whatever the
+    # seed, so _perturb, _evaluate and the margins see the same floats on
+    # every attempt of every trial.  One attempt of one trial then stands
+    # for all of them, exactly: a resampled attempt for all RESAMPLE_CAP
+    # attempts of a skipped trial, and the trial for all spec.trials.  A
+    # refusal raises at the first attempt that would evaluate, as before.
+    draw_free = all(var.prior is not None for _, var in plan)
     pos_counts = {v: [0, 0, 0] for v in checked}
     neg_counts = {v: [0, 0, 0] for v in checked}
     failures = {v: 0 for v in checked}
     bridge_failures = {v: 0 for v in bridge}
     completed = resampled = skipped = 0
 
-    for trial in range(spec.trials):
-        for attempt in range(RESAMPLE_CAP):
+    for trial in range(1 if draw_free else spec.trials):
+        for attempt in range(1 if draw_free else RESAMPLE_CAP):
             trial_seed = (spec.seed * 1_000_003 + trial) * 1_000_003 + attempt
             model = QuantModel(net, _draw(plan, trial_seed))
             moved = _perturb(target_form, model.priors[spec.target], spec.direction, spec.epsilon)
@@ -450,15 +472,12 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
             observed[v] = obs
             pos_counts[v][_OBSERVED_SLOT[obs[0]]] += 1
             neg_counts[v][_OBSERVED_SLOT[obs[1]]] += 1
-            pred = prediction[v]
+            pred = predicted[v]
             if not (obs[0].issubset(pred[0]) and obs[1].issubset(pred[1])):
                 failures[v] += 1
-        for child in bridge:
-            link = net.link_of[child]
-            for p in link.parents:
-                if p not in checked_set:
-                    continue
-                pred_p = prediction[p]
+        for child, parents in bridge_parents:
+            for p in parents:
+                pred_p = predicted[p]
                 obs_p = observed[p]
                 if not (
                     obs_p[0].widened().issubset(pred_p[0].widened())
@@ -467,23 +486,28 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
                     bridge_failures[child] += 1
         completed += 1
 
+    if draw_free:
+        scale = spec.trials
+        resampled *= RESAMPLE_CAP
+    else:
+        scale = 1
     rows = [
         VariableCheck(
             v,
             "checked",
-            prediction[v],
-            tuple(pos_counts[v]),
-            tuple(neg_counts[v]),
-            failures[v],
+            predicted[v],
+            tuple(n * scale for n in pos_counts[v]),
+            tuple(n * scale for n in neg_counts[v]),
+            failures[v] * scale,
         )
         for v in checked
     ]
     rows += [
-        VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), bridge_failures[v])
+        VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), bridge_failures[v] * scale)
         for v in bridge
     ]
     rows += [
         VariableCheck(v, "unchecked", prediction[v], (0, 0, 0), (0, 0, 0), 0) for v in unchecked
     ]
     rows.sort(key=lambda r: r.name)
-    return ContainmentReport(tuple(rows), spec.trials, completed, resampled, skipped)
+    return ContainmentReport(tuple(rows), spec.trials, completed * scale, resampled * scale, skipped * scale)

@@ -228,6 +228,12 @@ class TestReplCommand:
         assert out.startswith("error:")
         assert EXPECTED_PROPAGATE in out
 
+    def test_rejected_query_leaves_held_evidence(self):
+        stdin = io.StringIO("hold\nzz=+\ns=+\n")
+        status, out = run_command(["repl", MEDICAL], stdin=stdin)
+        assert status == 0
+        assert out == "error: evidence names unknown variable 'zz'\n" + EXPECTED_PROPAGATE
+
     def test_quit_stops_reading(self):
         stdin = io.StringIO("quit\ns=+\n")
         _, out = run_command(["repl", MEDICAL], stdin=stdin)

@@ -1,6 +1,7 @@
 """Numeric oracle: exact evaluation, sampling, and containment checking."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from conftest import (
 )
 from qcnet import links as lc
 from qcnet import oracle
-from qcnet.links import BelCond1, BelCond2Separate, PossCond1, ProbCond1
+from qcnet.links import BelCond1, BelCond2Separate, ConditionalTable, PossCond1, ProbCond1
 from qcnet.network import BEL, EvidenceError, Link, Network, POSS, PROB, Variable, propagate
 from qcnet.oracle import (
     DECREASE,
@@ -36,7 +37,7 @@ from qcnet.oracle import (
     exact_probability,
     sample_model,
 )
-from qcnet.signs import NEG, POS, sign_of
+from qcnet.signs import NEG, POS, QMatrix, sign_of
 
 
 class TestSampleModel:
@@ -790,3 +791,169 @@ def predictions_match_propagate(net, seed):
                 assert row.predicted == full[row.name], (root, sign, row.name)
             compared += len(report.rows)
     return compared
+
+
+# ---------------------------------------------------------------------------
+# a check whose plan draws nothing evaluates one trial and scales its counts
+# ---------------------------------------------------------------------------
+
+def with_root_priors(rng, net):
+    """``net`` with a declared prior on every root that has none, so that
+    no check on it samples anything."""
+
+    def prior(var):
+        if var.prior is not None or var.name in net.link_of:
+            return var.prior
+        if var.formalism is PROB:
+            p = rng.uniform(0.05, 0.95)
+            return p, 1.0 - p
+        a, b = sorted((rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)))
+        return a, b - a
+
+    return Network([Variable(v.name, v.formalism, prior(v)) for v in net.variables.values()], net.links)
+
+
+def two_parent_net(b_prior):
+    """a and b feed c, which feeds d; a has a declared prior, b ``b_prior``."""
+    return Network(
+        [Variable("a", PROB, (0.3, 0.7)), Variable("b", PROB, b_prior), Variable("c", PROB), Variable("d", PROB)],
+        [Link("c", ("a", "b"), lc.ProbCond2(0.9, 0.6, 0.45, 0.2)), Link("d", ("c",), ProbCond1(0.7, 0.1))],
+    )
+
+
+def checked_with_evaluations(monkeypatch, net, target, trials):
+    """The report of an increase check on ``target``, and the number of
+    link ``evaluate`` calls it made."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for cls in (ProbCond1, lc.ProbCond2, PossCond1, lc.PossCond2):
+            real = cls.evaluate
+            patch.setattr(cls, "evaluate", lambda table, values, real=real: calls.append(1) or real(table, values))
+        report = check_containment(net, {target: POS}, PerturbationSpec(target, INCREASE, trials=trials, seed=2))
+    return report, len(calls)
+
+
+BEL_TABLE = BelCond1(0.7, 0.1, 0.3, 0.1, 0.6, 0.3)
+
+
+@dataclass(frozen=True)
+class Opposes(ConditionalTable):
+    """A probability link whose child copies its parent, while its
+    derivative claims the child opposes it: every check of it fails."""
+
+    formalism = PROB
+    arity = 1
+
+    def derivative(self) -> QMatrix:
+        return QMatrix(((NEG, POS), (POS, NEG)))
+
+    def evaluate(self, parent_values):
+        return parent_values[0]
+
+
+class TestDrawFreeChecks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        formalisms=st.sampled_from([(POSS,), (PROB,), (BEL,), (PROB, BEL)]),
+        increase=st.booleans(),
+        trials=st.sampled_from([1, 2, 37, 1000]),
+    )
+    def test_matches_the_reference_that_runs_every_trial(self, seed, n, formalisms, increase, trials):
+        # possibility variables all have priors already; the others' roots
+        # are given one
+        rng = random.Random(seed)
+        net = with_root_priors(rng, random_polytree(rng, n, formalisms))
+        target = rng.choice(sorted(v for v in net.variables if v not in net.link_of))
+        direction, sign = (INCREASE, POS) if increase else (DECREASE, NEG)
+        spec = PerturbationSpec(target, direction, trials=trials, seed=seed % 1000)
+        got = outcome(check_containment, net, {target: sign}, spec)
+        want = outcome(ref_check_containment, net, {target: sign}, spec)
+        assert got == want
+        if isinstance(want, ContainmentReport):
+            assert got.to_table() == want.to_table()
+
+    @pytest.mark.parametrize(
+        "net, target",
+        [(two_parent_net((0.6, 0.4)), "a"), (poss_pair_net(random.Random(3)), "b")],
+        ids=["declared-priors", "possibility"],
+    )
+    def test_cost_does_not_grow_with_trials(self, monkeypatch, net, target):
+        one, calls_one = checked_with_evaluations(monkeypatch, net, target, 1)
+        many, calls_many = checked_with_evaluations(monkeypatch, net, target, 10_000)
+        assert one.completed == 1 and many.completed == 10_000
+        assert calls_one == calls_many > 0
+
+    def test_a_root_without_prior_is_drawn_every_trial(self, monkeypatch):
+        net = two_parent_net(None)
+        one, calls_one = checked_with_evaluations(monkeypatch, net, "a", 1)
+        many, calls_many = checked_with_evaluations(monkeypatch, net, "a", 100)
+        assert one.completed == 1 and many.completed == 100
+        assert calls_many == 100 * calls_one > 0
+
+    def test_failures_count_every_trial(self):
+        # c is checked and fails; b, behind the bridge from c, fails too
+        net = Network(
+            [Variable("a", PROB, (0.3, 0.7)), Variable("b", BEL), Variable("c", PROB)],
+            [Link("c", ("a",), Opposes()), Link("b", ("c",), BEL_TABLE)],
+        )
+        report = check_containment(net, {"a": POS}, PerturbationSpec("a", INCREASE, trials=37, seed=1))
+        rows = {row.name: row for row in report.rows}
+        assert (rows["c"].observed_pos, rows["c"].observed_neg, rows["c"].failures) == ((37, 0, 0), (0, 0, 37), 37)
+        assert (rows["b"].verdict, rows["b"].failures) == ("FAIL", 37)
+        assert (report.completed, report.resampled, report.skipped) == (37, 0, 0)
+
+    @pytest.mark.parametrize(
+        "target_prior, table, epsilon",
+        [
+            ((0.5, 0.5), ProbCond1(0.5, 0.5), 1e-4),  # the table is at its boundary
+            ((0.5, 0.5), ProbCond1(0.8, 0.2), 0.9),  # the perturbation leaves [0, 1]
+            ((0.5, 1.0), PossCond1(0.5 + 1e-12, 0.2, 1.0, 1.0), 1e-4),  # the state is at a boundary
+        ],
+        ids=["table", "perturbation", "state"],
+    )
+    def test_degenerate_check_resamples_every_attempt(self, target_prior, table, epsilon):
+        formalism = table.formalism
+        net = Network([Variable("a", formalism, target_prior), Variable("c", formalism)], [Link("c", ("a",), table)])
+        spec = PerturbationSpec("a", INCREASE, epsilon=epsilon, trials=7, seed=4)
+        report = check_containment(net, {"a": POS}, spec)
+        assert (report.completed, report.resampled, report.skipped) == (0, 7 * RESAMPLE_CAP, 7)
+        assert report == ref_check_containment(net, {"a": POS}, spec)
+
+    @pytest.mark.parametrize(
+        "net, message",
+        [
+            (
+                Network(
+                    [
+                        Variable("t", BEL, (0.2, 0.3)),
+                        Variable("r", BEL, (0.1, 0.6)),
+                        Variable("m", BEL),
+                        Variable("a", BEL),
+                    ],
+                    [Link("m", ("t",), BEL_TABLE), Link("a", ("m", "r"), BelCond2Separate(BEL_TABLE, BEL_TABLE))],
+                ),
+                "cannot evaluate 'a': per-parent belief tables have no trusted combination formula",
+            ),
+            (
+                # c computes to (0.5, 0.5), which its link into e cannot read
+                Network(
+                    [Variable("t", POSS, (0.5, 1.0)), Variable("c", POSS, (1.0, 0.5)), Variable("e", POSS)],
+                    [
+                        Link("c", ("t",), PossCond1(0.9, 0.3, 0.2, 0.5)),
+                        Link("e", ("c",), PossCond1(1.0, 0.3, 0.2, 1.0)),
+                    ],
+                ),
+                "possibility state for link into 'e' is unnormalized: ",
+            ),
+        ],
+        ids=["no-formula", "unnormalized"],
+    )
+    def test_refusal_raises_as_the_reference_does(self, net, message):
+        spec = PerturbationSpec("t", INCREASE, trials=1000, seed=5)
+        with pytest.raises(OracleError, match=f"^{message}") as got:
+            check_containment(net, {"t": POS}, spec)
+        with pytest.raises(OracleError) as want:
+            ref_check_containment(net, {"t": POS}, spec)
+        assert str(got.value) == str(want.value)
