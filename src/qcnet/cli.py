@@ -132,10 +132,10 @@ def _parse_evidence(text: str) -> dict[str, tuple[QSign, QSign | None]]:
 
 def _change_table(net: Network, report: ChangeReport) -> str:
     lines = ["variable\tformalism\td_x\td_not_x"]
-    for name in sorted(net.variables):
-        var = net.variables[name]
-        dx, dnx = report.changes[name]
-        lines.append(f"{name}\t{var.formalism}\t{dx}\t{dnx}")
+    variables, changes = net.variables, report.changes
+    for name in sorted(variables):
+        dx, dnx = changes[name]
+        lines.append(f"{name}\t{variables[name].formalism!s}\t{dx}\t{dnx}")
     return "\n".join(lines) + "\n"
 
 
@@ -154,11 +154,9 @@ def _cmd_explain(ns) -> tuple[int, str]:
     for entry in explain(net):
         label = f"{' & '.join(entry.parents)} -> {entry.child}"
         col_labels = [tok for p in entry.parents for tok in (p, f"~{p}")]
-        for i, child_out in enumerate((entry.child, f"~{entry.child}")):
-            for j, parent_out in enumerate(col_labels):
-                sign = entry.matrix[i][j]
-                case = entry.cases[i][j]
-                lines.append(f"{label}\t{child_out}\t{parent_out}\t{sign}\t{case}")
+        for child_out, signs, cases in zip((entry.child, f"~{entry.child}"), entry.matrix.rows, entry.cases):
+            head = f"{label}\t{child_out}\t"
+            lines += [f"{head}{parent_out}\t{sign}\t{case}" for parent_out, sign, case in zip(col_labels, signs, cases)]
     return 0, "\n".join(lines) + "\n"
 
 

@@ -54,14 +54,14 @@ construction.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import ClassVar
 
-from .signs import DOWN, NEG, POS, QMatrix, QSign, UNKNOWN, UP, ZERO, qadd, sign_of
+from .signs import DOWN, NEG, POS, QMatrix, QSign, UNKNOWN, UP, ZERO, qadd, qsum, sign_of
 
 
 class Formalism(enum.Enum):
@@ -105,11 +105,13 @@ _CASES = {
 }
 
 
-def _label_cells(matrix: QMatrix, label) -> tuple[tuple[str, ...], ...]:
-    """``label(child_pos, column, entry)`` for every entry, in the matrix's shape."""
-    return tuple(
-        tuple(label(i == 0, j, entry) for j, entry in enumerate(row)) for i, row in enumerate(matrix.rows)
-    )
+@functools.lru_cache(maxsize=1024)
+def _matrix(*entries: QSign) -> QMatrix:
+    """The matrix of ``entries`` split into two rows, built once for each
+    distinct tuple of entries: a file holds only a few dozen distinct
+    derivatives, and matrices are immutable."""
+    half = len(entries) // 2
+    return QMatrix((entries[:half], entries[half:]))
 
 
 class ConditionalTable:
@@ -157,12 +159,15 @@ class ConditionalTable:
         return cls(*values)
 
     def __post_init__(self) -> None:
-        """Range-check every value; belief also checks each column's sum."""
+        """Range-check every value; belief also checks each column's sum.
+        A value's label is written out only for the message of a value out
+        of range."""
         if not self.cell_keys:
             return
         values = self._values(self)
-        for label, v in zip(self._labels, values):
-            _check_unit(label, v)
+        for i in range(len(values)):
+            if not 0.0 <= values[i] <= 1.0:
+                _check_unit(self._labels[i], values[i])
         if self.formalism is BEL:
             half = len(values) // 2  # the child outcome's row, then its complement's
             for pos, neg in zip(values[:half], values[half:]):
@@ -170,17 +175,16 @@ class ConditionalTable:
                     raise ValueError(self._sum_error)
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(_CASES[entry] for entry in row) for row in matrix.rows)
+        return tuple([tuple([_CASES[entry] for entry in row]) for row in matrix.rows])
 
     def _entries(self, *parent_states: PossState):
         """(entry, gap) of every matrix entry, row by row; none by default."""
         return ()
 
     def derivative(self, *parent_states: PossState) -> QMatrix:
-        """The entries of ``_entries``, as rows (x, ~x) of the child."""
-        entries = tuple([entry for entry, _ in self._entries(*parent_states)])
-        half = len(entries) // 2
-        return QMatrix((entries[:half], entries[half:]))
+        """The entries of ``_entries``, as rows (x, ~x) of the child.  Equal
+        entries give the one shared matrix."""
+        return _matrix(*[entry for entry, _ in self._entries(*parent_states)])
 
     def margin(self, *parent_states: PossState) -> float:
         """The smallest gap of ``_entries``; infinite when there is none."""
@@ -191,11 +195,12 @@ class ConditionalTable:
         """Possibility: conditioning columns whose values do not reach 1."""
         if self.formalism is not POSS or not self.cell_keys:
             return ()
-        get = self.get
+        values = self._values(self)
+        half = len(values) // 2  # the child outcome's row, then its complement's
         return tuple([
             f"conditional possibilities given {given} do not reach 1"
-            for cells, given in self._columns
-            if get(True, *cells) < 1.0 and get(False, *cells) < 1.0
+            for (_, given), pos, neg in zip(self._columns, values[:half], values[half:])
+            if pos < 1.0 and neg < 1.0
         ])
 
 
@@ -256,18 +261,6 @@ class ProbCond1(ConditionalTable):
         return p_c, 1.0 - p_c
 
 
-def _pair_terms(get, x_first: bool, x_pos: bool) -> tuple[float, float]:
-    """Synergy and offset terms for entry (d, x), co-parent fixed at its
-    positive outcome."""
-
-    def p(xv: bool, yv: bool) -> float:
-        return get(True, xv, yv) if x_first else get(True, yv, xv)
-
-    synergy = p(x_pos, True) + p(not x_pos, False) - p(x_pos, False) - p(not x_pos, True)
-    offset = p(x_pos, False) - p(not x_pos, False)
-    return synergy, offset
-
-
 @dataclass(frozen=True)
 class ProbCond2(ConditionalTable):
     """p(d | b, c) over the four parent-outcome pairs."""
@@ -287,6 +280,21 @@ class ProbCond2(ConditionalTable):
             p = self.p_d_given_nb_c if second_pos else self.p_d_given_nb_nc
         return p if child_pos else 1.0 - p
 
+    def _terms(self) -> list[tuple[float, float]]:
+        """Synergy and offset terms of each entry (d, x) of the child's
+        positive row, x over (b, ~b, c, ~c).  With the co-parent y at its
+        positive outcome and p(x, y) for p(d | x, y), the synergy is
+        p(x, y) + p(~x, ~y) - p(x, ~y) - p(~x, y), summed in that order, and
+        the offset p(x, ~y) - p(~x, ~y)."""
+        bc, b_nc = self.p_d_given_bc, self.p_d_given_b_nc
+        nb_c, nb_nc = self.p_d_given_nb_c, self.p_d_given_nb_nc
+        return [
+            (bc + nb_nc - b_nc - nb_c, b_nc - nb_nc),
+            (nb_c + b_nc - nb_nc - bc, nb_nc - b_nc),
+            (bc + nb_nc - nb_c - b_nc, nb_c - nb_nc),
+            (b_nc + nb_c - nb_nc - bc, nb_nc - nb_c),
+        ]
+
     def _entries(self):
         """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
 
@@ -295,22 +303,16 @@ class ProbCond2(ConditionalTable):
         difference.  Complementing the child flips both terms exactly, so the
         second row is the negation of the first, decided by the same stored
         numbers and so with the same gaps."""
-        row = []
-        for x_first in (True, False):
-            for x_pos in (True, False):
-                synergy, offset = _pair_terms(self.get, x_first, x_pos)
-                row.append((qadd(sign_of(synergy), sign_of(offset)), min(abs(synergy), abs(offset))))
+        row = [(qadd(sign_of(syn), sign_of(off)), min(abs(syn), abs(off))) for syn, off in self._terms()]
         return row + [(entry.negated(), gap) for entry, gap in row]
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        def label(child_pos: bool, j: int, entry: QSign) -> str:
-            synergy, offset = _pair_terms(self.get, j < 2, j % 2 == 0)
-            s_syn, s_off = sign_of(synergy), sign_of(offset)
-            if not child_pos:  # complementing the child flips both terms
-                s_syn, s_off = s_syn.negated(), s_off.negated()
-            return f"synergy={s_syn} offset={s_off}"
-
-        return _label_cells(matrix, label)
+        """The signs of each entry's two terms; complementing the child flips both."""
+        signs = [(sign_of(syn), sign_of(off)) for syn, off in self._terms()]
+        return (
+            tuple([f"synergy={syn} offset={off}" for syn, off in signs]),
+            tuple([f"synergy={syn.negated()} offset={off.negated()}" for syn, off in signs]),
+        )
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Total probability.  Longer sums than two terms use ``sum``, in a
@@ -393,34 +395,34 @@ class PossCond1(ConditionalTable):
         )
 
 
-def _poss_pair_entry(joint: dict, head: dict, x_pos: bool, pi_x: float) -> tuple[QSign, float]:
+def _poss_pair_entry(mine: Pair, other: Pair, head: Pair, pi_x: float) -> tuple[QSign, float]:
     """Entry (z, x) of a two-parent possibility matrix, and the smallest
     gap the entry was decided on (infinite for entries never fragile).
 
-    ``joint[xv, yv]`` is min(pi(z|xv,yv), pi(xv), pi(yv)) and
-    ``head[xv, yv]`` is min(pi(z|xv,yv), pi(yv)), over the outcomes of this
-    parent x and its co-parent y; ``pi_x`` is pi(x_pos).  Each co-parent
-    route y is dominant when its joint exceeds every other joint, and has
-    headroom when pi(x) is below its other two minima.  A + entry is
-    fragile when a transmitting route's dominance or headroom gap is small.
-    An up-marker entry is fragile when no joint untouched by this parent
-    pins the current child value: a sibling route through the co-parent can
-    then leak a decrease the marker promises to block.
+    Over the co-parent's outcomes (y, ~y), ``mine`` holds the joints
+    min(pi(z|x,y), pi(x), pi(y)) of this parent's outcome x, ``other``
+    those of its complement, and ``head`` holds min(pi(z|x,y), pi(y));
+    ``pi_x`` is pi(x).  Each co-parent route y is dominant when its joint
+    exceeds every other joint, and has headroom when pi(x) is below its
+    other two minima.  A + entry is fragile when a transmitting route's
+    dominance or headroom gap is small.  An up-marker entry is fragile when
+    no joint untouched by this parent pins the current child value: a
+    sibling route through the co-parent can then leak a decrease the marker
+    promises to block.
     """
     follows = up = down = False
     gap = math.inf  # smallest gap of a transmitting route
-    pinned = [joint[not x_pos, True], joint[not x_pos, False]]
-    for y_pos in (True, False):
-        mine = joint[x_pos, y_pos]
-        dom_gap = mine - max(joint[not x_pos, y_pos], joint[x_pos, not y_pos], joint[not x_pos, not y_pos])
-        head_gap = head[x_pos, y_pos] - pi_x
+    pinned = [other[0], other[1]]
+    for y, ny in ((0, 1), (1, 0)):
+        dom_gap = mine[y] - max(other[y], mine[ny], other[ny])
+        head_gap = head[y] - pi_x
         if dom_gap > 0 and head_gap > 0:
             follows = True
             gap = min(gap, dom_gap, head_gap)
         elif head_gap > 0:
             up = True
         else:
-            pinned.append(mine)
+            pinned.append(mine[y])
             down = down or dom_gap > 0
     if follows:
         return POS, gap
@@ -464,19 +466,24 @@ class PossCond2(ConditionalTable):
         of each child outcome and parent order are computed once, for both of
         the parent's outcomes; the gaps are those of :func:`_poss_pair_entry`.
         """
-        get = self.get
-        for child_pos in (True, False):
-            for x_first, sx, sy in ((True, state_x, state_y), (False, state_y, state_x)):
-                joint, head = {}, {}
-                for xv in (True, False):
-                    pi_xv = sx.get(xv)
-                    for yv in (True, False):
-                        c = get(child_pos, xv, yv) if x_first else get(child_pos, yv, xv)
-                        pi_yv = sy.get(yv)
-                        joint[xv, yv] = min(c, pi_xv, pi_yv)
-                        head[xv, yv] = min(c, pi_yv)
-                for x_pos in (True, False):
-                    yield _poss_pair_entry(joint, head, x_pos, sx.get(x_pos))
+        values = self._values(self)  # pi(z | first, second), first's outcome major
+        first = (state_x.pi_x, state_x.pi_nx)
+        second = (state_y.pi_x, state_y.pi_nx)
+        out = []
+        for z in (0, 4):
+            # parent x first, then x second; with x and y 0 for a parent's
+            # outcome and 1 for its complement, pi(z | x, y) sits at
+            # z + x_step * x + y_step * y
+            for pis_x, pis_y, x_step, y_step in ((first, second, 2, 1), (second, first, 1, 2)):
+                joint, head = [], []
+                for x in (0, 1):
+                    pi_x = pis_x[x]
+                    conds = (values[z + x_step * x], values[z + x_step * x + y_step])
+                    joint.append((min(conds[0], pi_x, pis_y[0]), min(conds[1], pi_x, pis_y[1])))
+                    head.append((min(conds[0], pis_y[0]), min(conds[1], pis_y[1])))
+                out.append(_poss_pair_entry(joint[0], joint[1], head[0], pis_x[0]))
+                out.append(_poss_pair_entry(joint[1], joint[0], head[1], pis_x[1]))
+        return out
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Sup-min."""
@@ -573,28 +580,29 @@ class BelCond2Joint(ConditionalTable):
     def get(self, child_pos: bool, first: Cell, second: Cell) -> float:
         return self.cells[_JOINT_INDEX[child_pos, first, second]]
 
-    def _diffs(self, child_pos: bool, x_first: bool, x_pos: bool) -> tuple[float, float, float]:
-        """bel(z | x, Y) - bel(z | frame, Y) over the co-parent cells Y."""
-        def b(xc: Cell, yc: Cell) -> float:
-            return self.get(child_pos, xc, yc) if x_first else self.get(child_pos, yc, xc)
-
-        return tuple(b(x_pos, yc) - b(None, yc) for yc in CELLS)  # type: ignore[return-value]
+    def _diffs(self) -> list[tuple[float, ...]]:
+        """bel(z | x, Y) - bel(z | frame, Y) over the co-parent cells Y, for
+        each entry (z, x) row by row.  In ``cells``, bel(z | first, second)
+        sits at 9 z + 3 first + second, with z 0 for the child outcome and 1
+        for its complement, and each parent cell counted in ``CELLS`` order."""
+        cells = self.cells
+        out = []
+        for z in (0, 9):
+            for x_step, y_step in ((3, 1), (1, 3)):  # parent x first, then x second
+                frame = z + 2 * x_step
+                f0, f1, f2 = cells[frame], cells[frame + y_step], cells[frame + 2 * y_step]
+                for x in (z, z + x_step):
+                    out.append((cells[x] - f0, cells[x + y_step] - f1, cells[x + 2 * y_step] - f2))
+        return out
 
     def _entries(self):
         """2x4 matrix: entry (z, x) adds, over the three co-parent
         conditioning cells, the sign of bel(z | x, Y) - bel(z | frame, Y)."""
-        for child_pos in (True, False):
-            for x_first in (True, False):
-                for x_pos in (True, False):
-                    diffs = self._diffs(child_pos, x_first, x_pos)
-                    yield reduce(qadd, map(sign_of, diffs)), min(map(abs, diffs))
+        return [(qsum(map(sign_of, diffs)), min(map(abs, diffs))) for diffs in self._diffs()]
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return _label_cells(
-            matrix,
-            lambda child_pos, j, entry: "terms="
-            + ",".join(str(sign_of(d)) for d in self._diffs(child_pos, j < 2, j % 2 == 0)),
-        )
+        labels = ["terms=" + ",".join([str(sign_of(d)) for d in diffs]) for diffs in self._diffs()]
+        return tuple(labels[:4]), tuple(labels[4:])
 
     def evaluate(self, parent_values: list[Pair]) -> Pair:
         """Mass-weighted sums over joint masses in the table's cell order,
@@ -637,6 +645,6 @@ class BelCond2Separate(ConditionalTable):
                     yield (POS if weak else UNKNOWN), math.inf
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return _label_cells(
-            matrix, lambda child_pos, j, entry: "weak-follows" if entry == POS else "indeterminate"
-        )
+        return tuple([
+            tuple(["weak-follows" if entry == POS else "indeterminate" for entry in row]) for row in matrix.rows
+        ])

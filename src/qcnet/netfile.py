@@ -23,14 +23,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import links as lc
-from .network import BEL, Link, Network, POSS, PROB, Variable
+from .network import BEL, Link, Network, POSS, PROB, Variable, _new_record, _record
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*$")
 # matched from just after the "cond" keyword; the conditioned outcome may
 # be written as a (rejected) no-space frame token, so the error message can
-# say so instead of misparsing
+# say so instead of misparsing.  The child group scans a leading name once,
+# then tries the frame's '|~name' after it.
 _COND_RE = re.compile(
-    r"\s*(?P<child>[A-Za-z_]\w*\|~[A-Za-z_]\w*|~?[A-Za-z_]\w*)\s*\|\s*(?P<parents>.+?)\s*=\s*(?P<value>\S+)$"
+    r"\s*(?P<child>[A-Za-z_]\w*(?:\|~[A-Za-z_]\w*)?|~[A-Za-z_]\w*)\s*\|\s*(?P<parents>.+?)\s*=\s*(?P<value>\S+)$"
 )
 
 _FORMALISMS = {"prob": PROB, "poss": POSS, "bel": BEL}
@@ -38,27 +39,6 @@ _FORMALISMS = {"prob": PROB, "poss": POSS, "bel": BEL}
 POS_OUT = "pos"
 NEG_OUT = "neg"
 FRAME_OUT = "frame"
-
-
-def _record(cls):
-    """Make a ``NamedTuple`` class a value record, as a frozen dataclass
-    would be: equal only to a record of its own class, by every field but a
-    trailing ``line``, and hashed by those fields.  A plain tuple, or a
-    record of another class, is never equal to it."""
-    n = len(cls._fields) - (cls._fields[-1] == "line")
-
-    def __eq__(self, other):
-        if type(other) is not cls:
-            return False if isinstance(other, tuple) else NotImplemented
-        return self[:n] == other[:n]
-
-    def __ne__(self, other):
-        eq = __eq__(self, other)
-        return eq if eq is NotImplemented else not eq
-
-    cls.__eq__, cls.__ne__ = __eq__, __ne__
-    cls.__hash__ = tuple.__hash__ if n == len(cls._fields) else lambda self: hash(self[:n])
-    return cls
 
 
 @_record
@@ -146,6 +126,12 @@ def _piece_index(pieces: list[str], i: int) -> int:
     return sum(len(p) + 1 for p in pieces[:i]) + pieces[i].find(pieces[i].strip())
 
 
+def _child_index(lhs: str, rhs: str, child: str) -> int:
+    """Where ``child`` starts in a link line whose text after the keyword
+    splits at '->' into ``lhs`` and ``rhs``."""
+    return 4 + len(lhs) + 2 + rhs.index(child)
+
+
 def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, str | None]:
     """Parse one stripped outcome token against declared variable names."""
     if "|" in token:
@@ -158,14 +144,14 @@ def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, s
         (var,) = names
         if var not in known:
             return None, f"outcome references undeclared variable {var!r}"
-        return Outcome(var, FRAME_OUT), None
+        return _new_record(Outcome, (var, FRAME_OUT)), None
     neg = token.startswith("~")
     var = token[1:].strip() if neg else token
     if var not in known:  # a declared name is well formed
         if not _NAME_RE.match(var):
             return None, f"malformed outcome {token!r}"
         return None, f"outcome references undeclared variable {var!r}"
-    return Outcome(var, NEG_OUT if neg else POS_OUT), None
+    return _new_record(Outcome, (var, NEG_OUT if neg else POS_OUT)), None
 
 
 def _parse_parents(
@@ -213,9 +199,8 @@ def parse_network(text: str) -> ParseResult:
         line = raw.partition("#")[0].strip()
         if not line:
             continue
-        head = line.split(None, 1)[0]
 
-        if head == "cond":
+        if line[:4] == "cond" and (line[4:5].isspace() or len(line) == 4):
             m = _COND_RE.match(line, 4)
             if m is None:
                 diags.append(Diagnostic(lineno, 1, "expected: cond OUTCOME | OUTCOMES = VALUE"))
@@ -243,27 +228,29 @@ def parse_network(text: str) -> ParseResult:
             except ValueError:
                 diags.append(Diagnostic(lineno, _column(raw, m.start("value")), "conditional value must be a number"))
                 continue
-            conds.append(CondDecl(child_out, parent_outs, value, lineno))
+            conds.append(_new_record(CondDecl, (child_out, parent_outs, value, lineno)))
+            continue
 
-        elif head == "node":
+        head = line.split(None, 1)[0]
+        if head == "node":
             tokens = line.split()
             if len(tokens) != 3:
                 diags.append(Diagnostic(lineno, 1, "expected: node NAME prob|poss|bel"))
                 continue
             name, kind = tokens[1], tokens[2]
-            name_at = line.index(name, 4)  # each token is the first match after the one before
             if not _NAME_RE.match(name):
-                diags.append(Diagnostic(lineno, _column(raw, name_at), f"malformed variable name {name!r}"))
+                diags.append(Diagnostic(lineno, _column(raw, line.index(name, 4)), f"malformed variable name {name!r}"))
                 continue
             if kind not in _FORMALISMS:
-                kind_at = line.index(kind, name_at + len(name))
+                # each token is the first match after the one before
+                kind_at = line.index(kind, line.index(name, 4) + len(name))
                 diags.append(Diagnostic(lineno, _column(raw, kind_at), f"unknown formalism {kind!r}"))
                 continue
             if name in known:
-                diags.append(Diagnostic(lineno, _column(raw, name_at), f"duplicate variable {name!r}"))
+                diags.append(Diagnostic(lineno, _column(raw, line.index(name, 4)), f"duplicate variable {name!r}"))
                 continue
             known[name] = kind
-            nodes.append(NodeDecl(name, kind, lineno))
+            nodes.append(_new_record(NodeDecl, (name, kind, lineno)))
 
         elif head == "prior":
             tokens = line.split()
@@ -283,7 +270,7 @@ def parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, _column(raw, line.index(name, 5)), f"duplicate prior for {name!r}"))
                 continue
             prior_seen.add(name)
-            priors.append(PriorDecl(name, vx, vnx, lineno))
+            priors.append(_new_record(PriorDecl, (name, vx, vnx, lineno)))
 
         elif head == "link":
             body = line[4:]
@@ -302,13 +289,12 @@ def parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, 1, "expected: link PARENT [& PARENT] -> CHILD [separate]"))
                 continue
             child = rhs_tokens[0]
-            child_at = 4 + len(lhs) + 2 + rhs.index(child)
             bad = False
             for i, name in enumerate((*parents, child)):
                 if name in known:  # a declared name is well formed
                     continue
                 bad = True
-                col = _column(raw, 4 + _piece_index(pieces, i) if i < len(parents) else child_at)
+                col = _column(raw, 4 + _piece_index(pieces, i) if i < len(parents) else _child_index(lhs, rhs, child))
                 if not _NAME_RE.match(name):
                     diags.append(Diagnostic(lineno, col, f"malformed variable name {name!r}"))
                 else:
@@ -322,10 +308,10 @@ def parse_network(text: str) -> ParseResult:
                 diags.append(Diagnostic(lineno, _column(raw, len(line) - len("separate")), "'separate' applies to two-parent links"))
                 continue
             if child in linked:
-                diags.append(Diagnostic(lineno, _column(raw, child_at), f"variable {child!r} already has a link"))
+                diags.append(Diagnostic(lineno, _column(raw, _child_index(lhs, rhs, child)), f"variable {child!r} already has a link"))
                 continue
             linked.add(child)
-            links.append(LinkDecl(tuple(parents), child, separate, lineno))
+            links.append(_new_record(LinkDecl, (tuple(parents), child, separate, lineno)))
 
         else:
             diags.append(Diagnostic(lineno, 1, f"unknown directive {head!r}"))
@@ -366,7 +352,13 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
     Returns the network and build diagnostics; the network is None when
     any diagnostic is fatal.  Probability complements may be given
     explicitly but must agree with 1 minus the positive-outcome value;
-    unassigned belief conditionals default to 0.
+    unassigned belief conditionals default to 0.  A link with other than
+    one or two parents, which only a document built by hand can hold, is a
+    diagnostic too.
+
+    Linear in the document: each conditional is keyed once by
+    :func:`_cond_key`, and each link's values are read from those keys in
+    one pass over its table's layout.
     """
     diags: list[Diagnostic] = []
     formalisms = {n.name: _FORMALISMS[n.formalism] for n in doc.nodes}
@@ -400,28 +392,35 @@ _CELL_OF: dict[str, lc.Cell] = {POS_OUT: True, NEG_OUT: False, FRAME_OUT: None}
 
 
 def _cond_key(decl: LinkDecl, c: CondDecl, frames_ok: bool) -> tuple | str:
-    """Cell key for one conditional line, or an error message.
+    """Cell key for one conditional line of a link with one or two
+    parents, or an error message.
 
     Joint tables key by (child_pos, cell per parent in link order);
     'separate' tables name one parent outcome per line and key by
-    (child_pos, parent index, cell)."""
+    (child_pos, parent index, cell).  Each outcome is unpacked once."""
+    outs, names = c.parents, decl.parents
     if decl.separate:
-        if len(c.parents) != 1:
+        if len(outs) != 1:
             return "per-parent tables take one conditioning outcome per line"
-        out = c.parents[0]
-        if out.var not in decl.parents:
+        out = outs[0]
+        if out.var not in names:
             return f"outcome of {out.var!r} does not name a parent of {decl.child!r}"
-        return (c.child.kind == POS_OUT, decl.parents.index(out.var), _CELL_OF[out.kind])
-    if len(c.parents) != len(decl.parents):
-        return f"expected {len(decl.parents)} conditioning outcomes for {decl.child!r}"
-    key = [c.child.kind == POS_OUT]
-    for out, expected in zip(c.parents, decl.parents):
-        if out.var != expected:
-            return f"conditioning outcomes must follow link parent order ({', '.join(decl.parents)})"
-        key.append(_CELL_OF[out.kind])
+        return (c.child.kind == POS_OUT, names.index(out.var), _CELL_OF[out.kind])
+    if len(outs) != len(names):
+        return f"expected {len(names)} conditioning outcomes for {decl.child!r}"
+    if len(outs) == 1:
+        ((var, kind),) = outs
+        in_order = var == names[0]
+        key = (c.child.kind == POS_OUT, _CELL_OF[kind])
+    else:
+        (var, kind), (var2, kind2) = outs
+        in_order = var == names[0] and var2 == names[1]
+        key = (c.child.kind == POS_OUT, _CELL_OF[kind], _CELL_OF[kind2])
+    if not in_order:
+        return f"conditioning outcomes must follow link parent order ({', '.join(names)})"
     if not frames_ok and None in key:
         return "frame outcomes are only meaningful for belief links"
-    return tuple(key)
+    return key
 
 
 def _collect_cells(decl: LinkDecl, conds: list[CondDecl], diags: list[Diagnostic], frames_ok: bool) -> dict | None:
@@ -435,28 +434,28 @@ def _collect_cells(decl: LinkDecl, conds: list[CondDecl], diags: list[Diagnostic
             diags.append(Diagnostic(c.line, 1, key))
             ok = False
             continue
-        if not 0.0 <= c.value <= 1.0:
-            diags.append(Diagnostic(c.line, 1, f"conditional value {c.value!r} outside [0, 1]"))
+        value = c.value
+        if not 0.0 <= value <= 1.0:
+            diags.append(Diagnostic(c.line, 1, f"conditional value {value!r} outside [0, 1]"))
             ok = False
             continue
         if key in cells:
             diags.append(Diagnostic(c.line, 1, "duplicate conditional assignment"))
             ok = False
             continue
-        cells[key] = c.value
+        cells[key] = value
     return cells if ok else None
 
 
 def _prob_value(cells: dict, key_pos: tuple, decl: LinkDecl, diags: list[Diagnostic]) -> float | None:
-    key_neg = (False, *key_pos[1:])
-    has_pos, has_neg = key_pos in cells, key_neg in cells
-    if has_pos and has_neg and abs(cells[key_pos] + cells[key_neg] - 1.0) > 1e-9:
-        diags.append(Diagnostic(decl.line, 1, f"probability conditionals {_given(decl, key_pos)} do not sum to 1"))
-        return None
-    if has_pos:
-        return cells[key_pos]
-    if has_neg:
-        return 1.0 - cells[key_neg]
+    pos, neg = cells.get(key_pos), cells.get((False, *key_pos[1:]))
+    if pos is not None:
+        if neg is not None and abs(pos + neg - 1.0) > 1e-9:
+            diags.append(Diagnostic(decl.line, 1, f"probability conditionals {_given(decl, key_pos)} do not sum to 1"))
+            return None
+        return pos
+    if neg is not None:
+        return 1.0 - neg
     diags.append(Diagnostic(decl.line, 1, f"missing probability conditional {_given(decl, key_pos)} for {decl.child!r}"))
     return None
 
@@ -483,15 +482,19 @@ def _layout_values(cls, cells: dict, decl: LinkDecl, diags: list[Diagnostic], in
         values = [_prob_value(cells, key, decl, diags) for key in keys]
         return None if None in values else values
     if cls.formalism is POSS:
-        for key in keys:
-            if key not in cells:
-                diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional {'' if key[0] else '~'}{decl.child} {_given(decl, key)} for {decl.child!r}"))
-                return None
-        return [cells[key] for key in keys]
+        values = [cells.get(key) for key in keys]
+        if None in values:
+            key = keys[values.index(None)]
+            diags.append(Diagnostic(decl.line, 1, f"missing possibility conditional {'' if key[0] else '~'}{decl.child} {_given(decl, key)} for {decl.child!r}"))
+            return None
+        return values
     return [cells.get(key, 0.0) for key in keys]
 
 
 def _build_table(decl, formalisms, conds, diags):
+    if not 1 <= len(decl.parents) <= 2:  # only a document built by hand can get here
+        diags.append(Diagnostic(decl.line, 1, "a link takes one or two parents"))
+        return None
     child_form = formalisms[decl.child]
     if decl.separate and child_form is not BEL:
         diags.append(Diagnostic(decl.line, 1, "'separate' tables are only defined for belief links"))

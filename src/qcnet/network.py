@@ -10,6 +10,7 @@ boundary, and multiplies them through each link's derivative matrix.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -38,8 +39,35 @@ class EvidenceError(NetworkError):
     """Raised for evidence that is malformed or inconsistent with a variable's state."""
 
 
-@dataclass(frozen=True)
-class Variable:
+def _record(cls):
+    """Make a ``NamedTuple`` class a value record, as a frozen dataclass
+    would be: equal only to a record of its own class, by every field but a
+    trailing ``line``, and hashed by those fields.  A plain tuple, or a
+    record of another class, is never equal to it.  Unlike a frozen
+    dataclass, it is built without a Python-level call per field."""
+    n = len(cls._fields) - (cls._fields[-1] == "line")
+
+    def __eq__(self, other):
+        if type(other) is not cls:
+            return False if isinstance(other, tuple) else NotImplemented
+        return self[:n] == other[:n]
+
+    def __ne__(self, other):
+        eq = __eq__(self, other)
+        return eq if eq is NotImplemented else not eq
+
+    cls.__eq__, cls.__ne__ = __eq__, __ne__
+    cls.__hash__ = tuple.__hash__ if n == len(cls._fields) else lambda self: hash(self[:n])
+    return cls
+
+
+# builds a NamedTuple record from the tuple of its fields, without the
+# Python-level argument handling of its constructor
+_new_record = tuple.__new__
+
+
+@_record
+class Variable(NamedTuple):
     """A binary variable with a formalism tag and an optional numeric prior.
 
     Priors are pairs over (x, ~x): probabilities summing to 1, normalized
@@ -163,6 +191,11 @@ class CompiledNetwork:
 
 
 def _compile(net: Network) -> CompiledNetwork:
+    """Validate ``net`` and, when it is valid, evaluate each link's
+    derivative once, in topological order.  A state-dependent link reads
+    each parent's :class:`PossState` from one mapping, which holds one state
+    per parent variable however many links it feeds; links with equal
+    entries share one matrix."""
     children = _child_lists(net)
     order = _kahn_order(net, children)
     report = _check(net, order is not None)
@@ -172,20 +205,28 @@ def _compile(net: Network) -> CompiledNetwork:
     matrices: dict[str, QMatrix] = {}
     steps = []
     pure: set[str] = set()
-    variables, link_of = net.variables, net.link_of
+    states: dict[str, PossState] = {}  # by parent name, for state-dependent links
+    formalism = {name: var.formalism for name, var in net.variables.items()}
+    link_of = net.link_of
     for name in order:
         link = link_of.get(name)
         if link is None:
-            steps.append(_Step(name, (), (), None))
+            steps.append(_new_record(_Step, (name, (), (), None)))
             pure.add(name)
             continue
         table, parents = link.table, link.parents
-        states = [_parent_poss_state(net, p) for p in parents] if table.state_dependent else ()
-        matrices[name] = matrix = table.derivative(*states)
-        form = variables[name].formalism
-        bridged = tuple([variables[p].formalism is not form for p in parents])
-        steps.append(_Step(name, parents, bridged, matrix))
-        if not any(bridged) and pure.issuperset(parents):
+        if table.state_dependent:
+            for p in parents:
+                if p not in states:
+                    states[p] = _parent_poss_state(net, p)
+            matrix = table.derivative(*[states[p] for p in parents])
+        else:
+            matrix = table.derivative()
+        matrices[name] = matrix
+        form = formalism[name]
+        bridged = tuple([formalism[p] is not form for p in parents])
+        steps.append(_new_record(_Step, (name, parents, bridged, matrix)))
+        if True not in bridged and pure.issuperset(parents):
             pure.add(name)
     position = MappingProxyType({name: i for i, name in enumerate(order)})
     return CompiledNetwork(
@@ -205,12 +246,15 @@ def _kahn_order(net: Network, children: Mapping[str, tuple[str, ...]]) -> tuple[
     """Kahn's ordering, first the roots by name, then each variable once
     its last parent is placed.  None when a cycle leaves some unplaced."""
     variables = net.variables
-    pending = {
-        name: len([p for p in link.parents if p in variables])
-        for name, link in net.link_of.items()
-        if name in variables
-    }
-    order = sorted(name for name in variables if not pending.get(name))
+    pending: dict[str, int] = {}
+    for name, link in net.link_of.items():
+        if name in variables:
+            known = 0
+            for p in link.parents:
+                if p in variables:
+                    known += 1
+            pending[name] = known
+    order = sorted([name for name in variables if not pending.get(name)])
     for name in order:  # the list is also the queue: placed children are appended
         for child in children.get(name, ()):
             if child in pending:
@@ -232,27 +276,29 @@ def validate(net: Network) -> ValidationReport:
 def _check(net: Network, acyclic: bool) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
+    variables = net.variables
 
     for link in net.links:
-        for endpoint in (link.child, *link.parents):
-            if endpoint not in net.variables:
+        table, parents, child_name = link.table, link.parents, link.child
+        for endpoint in (child_name, *parents):
+            if endpoint not in variables:
                 errors.append(f"link {_link_label(link)} names unknown variable {endpoint!r}")
-        if len(link.parents) != link.table.arity:
+        if len(parents) != table.arity:
             errors.append(
-                f"link {_link_label(link)} has {len(link.parents)} parents but its table expects {link.table.arity}"
+                f"link {_link_label(link)} has {len(parents)} parents but its table expects {table.arity}"
             )
-        if len(link.parents) == 2 and link.parents[0] == link.parents[1]:
+        if len(parents) == 2 and parents[0] == parents[1]:
             errors.append(f"link {_link_label(link)} lists the same parent twice")
-        child = net.variables.get(link.child)
-        if child is not None and link.table.formalism is not child.formalism:
+        child = variables.get(child_name)
+        if child is not None and table.formalism is not child.formalism:
             errors.append(
-                f"link {_link_label(link)} carries a {link.table.formalism} table but {link.child!r} is {child.formalism}"
+                f"link {_link_label(link)} carries a {table.formalism} table but {child_name!r} is {child.formalism}"
             )
-        for w in link.table.warnings():
+        for w in table.warnings():
             warnings.append(f"link {_link_label(link)}: {w}")
-        if link.table.state_dependent:
-            for p in link.parents:
-                pv = net.variables.get(p)
+        if table.state_dependent:
+            for p in parents:
+                pv = variables.get(p)
                 if pv is not None and pv.formalism is POSS and pv.prior is None:
                     errors.append(
                         f"possibility variable {p!r} feeds a possibility link and needs an explicit prior"
@@ -261,26 +307,28 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
     if not acyclic:
         errors.append("network contains a directed cycle")
     else:
-        # undirected cycles (single-connectedness); union-find over link edges
-        parent: dict[str, str] = {name: name for name in net.variables}
-
-        def find(a: str) -> str:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        # undirected cycles (single-connectedness); union-find over link
+        # edges, with path halving.  The child's root joins the parent's:
+        # in a file whose links come parents first, that is the child alone
+        parent: dict[str, str] = dict(zip(variables, variables))
         for link in net.links:
+            child_name = link.child
+            if child_name not in parent:
+                continue
             for p in link.parents:
-                if p not in net.variables or link.child not in net.variables:
+                if p not in parent:
                     continue
-                ra, rb = find(p), find(link.child)
+                ra, rb = p, child_name
+                while parent[ra] != ra:
+                    parent[ra] = ra = parent[parent[ra]]
+                while parent[rb] != rb:
+                    parent[rb] = rb = parent[parent[rb]]
                 if ra == rb:
                     errors.append(
                         f"network is not singly connected: link {_link_label(link)} closes an undirected cycle"
                     )
                 else:
-                    parent[ra] = rb
+                    parent[rb] = ra
 
     for var in net.variables.values():
         if var.prior is None:
@@ -561,7 +609,7 @@ def explain(net: Network) -> tuple[LinkExplanation, ...]:
     """Evaluate and label every link's derivative matrix without propagating."""
     matrices = _require_valid(net).matrices
     out = []
-    for link in sorted(net.links, key=lambda l: l.child):
+    for link in sorted(net.links, key=operator.attrgetter("child")):
         matrix = matrices[link.child]
         out.append(LinkExplanation(link.child, link.parents, matrix, link.table.cases(matrix)))
     return tuple(out)

@@ -137,8 +137,7 @@ class QSign:
         except KeyError:
             raise ValueError(f"unknown sign token {text!r}") from None
 
-    def __str__(self) -> str:
-        return self.token()
+    __str__ = token
 
     def __repr__(self) -> str:
         return f"QSign({self.token()!r})"

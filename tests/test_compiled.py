@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polytree
+from qcnet import network
 from qcnet.cli import run_command
-from qcnet.links import IGNORANT, ProbCond1
+from qcnet.links import IGNORANT, PossCond1, PossCond2, PossState, ProbCond1
 from qcnet.network import (
+    POSS,
     PROB,
     Link,
     Network,
@@ -83,6 +85,26 @@ class TestCompileOnce:
         validate(net)
         assert len(calls) == len(net.links)
         assert first == second
+
+    def test_one_possibility_state_per_parent_variable(self, monkeypatch):
+        # a feeds three possibility links, c1 one; p is a probability parent
+        poss1, poss2 = PossCond1(1, 0.2, 0.1, 1), PossCond2(1, 0.3, 0.2, 0.1, 0.1, 1, 1, 1)
+        net = Network(
+            [Variable("a", POSS, (1.0, 0.4)), Variable("b", POSS, (0.3, 1.0)), Variable("p", PROB),
+             Variable("c1", POSS, (1.0, 0.5)), Variable("c2", POSS), Variable("c3", POSS),
+             Variable("c4", POSS), Variable("c5", POSS)],
+            [Link("c1", ("a",), poss1), Link("c2", ("a",), poss1), Link("c3", ("a", "b"), poss2),
+             Link("c4", ("p",), poss1), Link("c5", ("c1",), poss1)],
+        )
+        built = []
+        monkeypatch.setattr(network, "PossState", lambda *prior: built.append(prior) or PossState(*prior))
+        matrices = net.compiled.matrices
+        assert sorted(built) == [(0.3, 1.0), (1.0, 0.4), (1.0, 0.5)]
+        a, b = PossState(1.0, 0.4), PossState(0.3, 1.0)
+        assert matrices["c1"] == matrices["c2"] == poss1.derivative(a)
+        assert matrices["c3"] == poss2.derivative(a, b)
+        assert matrices["c4"] == poss1.derivative(IGNORANT)
+        assert matrices["c5"] == poss1.derivative(PossState(1.0, 0.5))
 
     def test_compiled_matrices_match_link_matrix(self, medical_net):
         for link in medical_net.links:

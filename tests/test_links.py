@@ -3,6 +3,7 @@ independent numeric oracles (total probability, sup-min, mass sums)."""
 
 import math
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from conftest import (
 from qcnet.links import (
     BEL,
     CELLS,
+    POSS,
     PROB,
     BelCond1,
     BelCond2Joint,
@@ -30,7 +32,8 @@ from qcnet.links import (
     ProbCond1,
     ProbCond2,
 )
-from qcnet.signs import DOWN, NEG, POS, UNKNOWN, UP, ZERO, qadd, sign_of
+from qcnet.network import Link, Network, Variable
+from qcnet.signs import DOWN, NEG, POS, UNKNOWN, UP, ZERO, QMatrix, qadd, sign_of
 
 EPS = 1e-4
 TOL = 1e-12
@@ -92,7 +95,7 @@ class TestCellLayout:
     )
     def test_range_error_messages(self, cls, index, label):
         assert len(RANGE_LABELS[cls]) == len(cls.cell_keys)
-        for bad in (1.5, -0.5, math.nan):
+        for bad in (1.5, -0.5, math.nan, 1.0 + 1e-9, -1e-9, -math.inf):
             values = [0.25] * len(cls.cell_keys)
             values[index] = bad
             with pytest.raises(ValueError) as exc:
@@ -793,3 +796,240 @@ class TestBelPairSeparate:
         t = BelCond1(bel_c_given_a=0.3, bel_c_given_frame=0.3)
         m = BelCond2Separate(t, t).derivative()
         assert m[0][0] == POS
+
+
+# -- every kernel against its former code --------------------------------------
+# Verbatim copies of the table kernels as they were before they were
+# rewritten for speed (only ``self`` became a plain first argument, and the
+# names gained a ``former_`` prefix): the base class's ``derivative``,
+# ``margin``, default ``cases`` and possibility ``warnings``; the two-parent
+# tables' ``_entries``, ``cases``, ``_pair_terms``, ``_diffs`` and
+# ``_poss_pair_entry``.  The single-parent tables kept their ``_entries``.
+
+def former_label_cells(matrix, label):
+    """``label(child_pos, column, entry)`` for every entry, in the matrix's shape."""
+    return tuple(
+        tuple(label(i == 0, j, entry) for j, entry in enumerate(row)) for i, row in enumerate(matrix.rows)
+    )
+
+
+FORMER_CASES = {
+    POS: "follows", NEG: "varies-inversely", ZERO: "independent",
+    UP: "may-follow-up", DOWN: "may-follow-down",
+}
+
+
+def former_default_cases(self, matrix):
+    return tuple(tuple(FORMER_CASES[entry] for entry in row) for row in matrix.rows)
+
+
+def former_derivative(self, entries, *parent_states):
+    """The entries of ``_entries``, as rows (x, ~x) of the child."""
+    entries = tuple([entry for entry, _ in entries(self, *parent_states)])
+    half = len(entries) // 2
+    return QMatrix((entries[:half], entries[half:]))
+
+
+def former_margin(self, entries, *parent_states):
+    """The smallest gap of ``_entries``; infinite when there is none."""
+    gaps = [gap for _, gap in entries(self, *parent_states)]
+    return min(gaps) if gaps else math.inf
+
+
+def former_poss_warnings(self):
+    """Possibility: conditioning columns whose values do not reach 1."""
+    get = self.get
+    return tuple([
+        f"conditional possibilities given {given} do not reach 1"
+        for cells, given in self._columns
+        if get(True, *cells) < 1.0 and get(False, *cells) < 1.0
+    ])
+
+
+def former_pair_terms(get, x_first, x_pos):
+    """Synergy and offset terms for entry (d, x), co-parent fixed at its
+    positive outcome."""
+
+    def p(xv, yv):
+        return get(True, xv, yv) if x_first else get(True, yv, xv)
+
+    synergy = p(x_pos, True) + p(not x_pos, False) - p(x_pos, False) - p(not x_pos, True)
+    offset = p(x_pos, False) - p(not x_pos, False)
+    return synergy, offset
+
+
+def former_prob2_entries(self):
+    row = []
+    for x_first in (True, False):
+        for x_pos in (True, False):
+            synergy, offset = former_pair_terms(self.get, x_first, x_pos)
+            row.append((qadd(sign_of(synergy), sign_of(offset)), min(abs(synergy), abs(offset))))
+    return row + [(entry.negated(), gap) for entry, gap in row]
+
+
+def former_prob2_cases(self, matrix):
+    def label(child_pos, j, entry):
+        synergy, offset = former_pair_terms(self.get, j < 2, j % 2 == 0)
+        s_syn, s_off = sign_of(synergy), sign_of(offset)
+        if not child_pos:  # complementing the child flips both terms
+            s_syn, s_off = s_syn.negated(), s_off.negated()
+        return f"synergy={s_syn} offset={s_off}"
+
+    return former_label_cells(matrix, label)
+
+
+def former_poss_pair_entry(joint, head, x_pos, pi_x):
+    follows = up = down = False
+    gap = math.inf  # smallest gap of a transmitting route
+    pinned = [joint[not x_pos, True], joint[not x_pos, False]]
+    for y_pos in (True, False):
+        mine = joint[x_pos, y_pos]
+        dom_gap = mine - max(joint[not x_pos, y_pos], joint[x_pos, not y_pos], joint[not x_pos, not y_pos])
+        head_gap = head[x_pos, y_pos] - pi_x
+        if dom_gap > 0 and head_gap > 0:
+            follows = True
+            gap = min(gap, dom_gap, head_gap)
+        elif head_gap > 0:
+            up = True
+        else:
+            pinned.append(mine)
+            down = down or dom_gap > 0
+    if follows:
+        return POS, gap
+    if up:
+        return UP, max(pinned) - pi_x
+    return (DOWN if down else ZERO), math.inf
+
+
+def former_poss2_entries(self, state_x, state_y):
+    get = self.get
+    for child_pos in (True, False):
+        for x_first, sx, sy in ((True, state_x, state_y), (False, state_y, state_x)):
+            joint, head = {}, {}
+            for xv in (True, False):
+                pi_xv = sx.get(xv)
+                for yv in (True, False):
+                    c = get(child_pos, xv, yv) if x_first else get(child_pos, yv, xv)
+                    pi_yv = sy.get(yv)
+                    joint[xv, yv] = min(c, pi_xv, pi_yv)
+                    head[xv, yv] = min(c, pi_yv)
+            for x_pos in (True, False):
+                yield former_poss_pair_entry(joint, head, x_pos, sx.get(x_pos))
+
+
+def former_bel2_diffs(self, child_pos, x_first, x_pos):
+    """bel(z | x, Y) - bel(z | frame, Y) over the co-parent cells Y."""
+    def b(xc, yc):
+        return self.get(child_pos, xc, yc) if x_first else self.get(child_pos, yc, xc)
+
+    return tuple(b(x_pos, yc) - b(None, yc) for yc in CELLS)
+
+
+def former_bel2_entries(self):
+    for child_pos in (True, False):
+        for x_first in (True, False):
+            for x_pos in (True, False):
+                diffs = former_bel2_diffs(self, child_pos, x_first, x_pos)
+                yield reduce(qadd, map(sign_of, diffs)), min(map(abs, diffs))
+
+
+def former_bel2_cases(self, matrix):
+    return former_label_cells(
+        matrix,
+        lambda child_pos, j, entry: "terms="
+        + ",".join(str(sign_of(d)) for d in former_bel2_diffs(self, child_pos, j < 2, j % 2 == 0)),
+    )
+
+
+def former_separate_cases(self, matrix):
+    return former_label_cells(
+        matrix, lambda child_pos, j, entry: "weak-follows" if entry == POS else "indeterminate"
+    )
+
+
+# each table class: its former ``_entries`` and ``cases``
+FORMER_KERNELS = {
+    ProbCond1: (ProbCond1._entries, former_default_cases),
+    ProbCond2: (former_prob2_entries, former_prob2_cases),
+    PossCond1: (PossCond1._entries, former_default_cases),
+    PossCond2: (former_poss2_entries, former_default_cases),
+    BelCond1: (BelCond1._entries, former_default_cases),
+    BelCond2Joint: (former_bel2_entries, former_bel2_cases),
+    BelCond2Separate: (BelCond2Separate._entries, former_separate_cases),
+}
+
+
+@st.composite
+def close_values(draw, n):
+    """``n`` table values in [0, 1] among which 0, 1, equal values and
+    values 1e-9 apart are common."""
+    pool = draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0)), grid_or_unit), min_size=1, max_size=3))
+    return [
+        min(1.0, max(0.0, draw(st.sampled_from(pool)) + draw(st.sampled_from((-1e-9, 0.0, 1e-9)))))
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def tables_and_states(draw):
+    """A table of any class, and for a possibility table its parents'
+    states: (1, 1), or (1, u) or (u, 1) with u near the table's values."""
+    cls = draw(st.sampled_from(sorted(FORMER_KERNELS, key=lambda c: c.__name__)))
+    if cls is BelCond2Separate:
+        return cls(*(BelCond1(*draw(close_bel_columns(3))) for _ in range(2))), ()
+    if cls.formalism is BEL:
+        return cls.from_cells(draw(close_bel_columns(len(cls.cell_keys) // 2))), ()
+    values = draw(close_values(len(cls.cell_keys)))
+    table = cls.from_cells(values)
+    if not cls.state_dependent:
+        return table, ()
+    states = []
+    for _ in range(cls.arity):
+        u = draw(st.one_of(st.sampled_from(values), grid_or_unit))
+        states.append(draw(st.sampled_from((IGNORANT, PossState(1.0, u), PossState(u, 1.0)))))
+    return table, tuple(states)
+
+
+@st.composite
+def close_bel_columns(draw, n):
+    """``close_values`` for a belief table: each column's two values sum to
+    at most 1."""
+    pos = draw(close_values(n))
+    neg = [min(v, 1.0 - p) for v, p in zip(draw(close_values(n)), pos)]
+    return pos + neg
+
+
+class TestKernelsMatchFormerCode:
+    @settings(max_examples=800, deadline=None)
+    @given(tables_and_states())
+    def test_derivative_margin_and_cases(self, table_states):
+        table, states = table_states
+        entries, cases = FORMER_KERNELS[type(table)]
+        matrix = table.derivative(*states)
+        assert matrix == former_derivative(table, entries, *states)
+        assert table.margin(*states) == former_margin(table, entries, *states)
+        assert table.cases(matrix) == cases(table, matrix)
+        if table.formalism is POSS:
+            assert table.warnings() == former_poss_warnings(table)
+
+
+class TestSharedMatrices:
+    def test_equal_tables_give_one_matrix(self):
+        first, second = ProbCond1(0.8, 0.2).derivative(), ProbCond1(0.9, 0.1).derivative()
+        assert first is second
+        assert first == QMatrix(((POS, NEG), (NEG, POS)))
+        state = PossState(1.0, 0.3)
+        assert PossCond1(1, 0.2, 0.1, 1).derivative(state) is PossCond1(1, 0.2, 0.1, 1).derivative(state)
+
+    def test_links_with_equal_entries_share_their_matrix(self):
+        net = Network(
+            [Variable("a", PROB), Variable("c", PROB), Variable("d", PROB)],
+            [Link("c", ("a",), ProbCond1(0.8, 0.2)), Link("d", ("a",), ProbCond1(0.6, 0.5))],
+        )
+        matrices = net.compiled.matrices
+        assert matrices["c"] is matrices["d"]
+        with pytest.raises(TypeError):
+            matrices["c"] = QMatrix(((NEG, POS), (POS, NEG)))
+        with pytest.raises(AttributeError):
+            matrices["c"].rows = ((NEG, POS), (POS, NEG))
+        assert matrices["c"] == QMatrix(((POS, NEG), (NEG, POS)))

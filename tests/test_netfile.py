@@ -249,6 +249,12 @@ class TestBuild:
         assert net is None
         assert any("link parent order" in d.message for d in diags)
 
+    def test_second_parent_out_of_order(self):
+        text = "node a prob\nnode b prob\nnode c prob\nnode d prob\nlink b & c -> d\ncond d | b, a = 0.6\n"
+        net, diags = load_network(text)
+        assert net is None
+        assert diags[0] == Diagnostic(6, 1, "conditioning outcomes must follow link parent order (b, c)")
+
     def test_duplicate_assignment(self):
         text = "node a prob\nnode c prob\nlink a -> c\ncond c | a = 0.6\ncond c | a = 0.7\n"
         net, diags = load_network(text)
@@ -337,6 +343,72 @@ class TestRecords:
         assert Diagnostic(line=1, column=2, message="m") == Diagnostic(1, 2, "m")
         assert LinkDecl(("a",), "c").separate is False and LinkDecl(("a",), "c").line == 0
         assert NodeDecl(name="a", formalism="prob").line == 0
+
+
+class TestParsedRecords:
+    """``parse_network`` builds its records from their fields directly; they
+    are the records the constructors build."""
+
+    def test_equal_hash_and_repr_as_constructed(self, medical_text):
+        text = medical_text + "node z bel\nprior z 0.2 0.3\nlink t & s -> z separate\n"
+        doc = parse_network(text).document
+        records = (*doc.nodes, *doc.priors, *doc.links, *doc.conds)
+        assert {type(r) for r in records} == {NodeDecl, PriorDecl, LinkDecl, CondDecl}
+        for rec in records:
+            built = type(rec)(*rec)
+            assert type(built) is type(rec)
+            assert built == rec and not built != rec
+            assert hash(built) == hash(rec)
+            assert repr(built) == repr(rec)
+            assert built.line == rec.line > 0
+            with pytest.raises(AttributeError):
+                rec.line = 0
+
+    def test_link_of_three_parents_in_a_hand_built_document(self):
+        a, b, c, d = (Outcome(v, POS_OUT) for v in "abcd")
+        doc = NetworkDocument(
+            tuple(NodeDecl(v, "prob") for v in "abcd"),
+            (),
+            (LinkDecl(("a", "b", "c"), "d", False, 7),),
+            (CondDecl(d, (a, b, c), 0.5, 8),),
+        )
+        assert build_network(doc) == (None, (Diagnostic(7, 1, "a link takes one or two parents"),))
+
+
+# today's pattern for the conditional lines, before the child group was
+# reordered to scan a leading name once
+FORMER_COND_RE = re.compile(
+    r"\s*(?P<child>[A-Za-z_]\w*\|~[A-Za-z_]\w*|~?[A-Za-z_]\w*)\s*\|\s*(?P<parents>.+?)\s*=\s*(?P<value>\S+)$"
+)
+COND_ALPHABET = ("a", "_", "1", "~", "|", "=", ",", ".", "-", " ", "\t", "é", "٣")
+
+
+@st.composite
+def cond_bodies(draw):
+    """Text after a 'cond' keyword: free text over the alphabet, or pieces of
+    it around the '|' and '=' that a conditional line needs."""
+    piece = st.text(alphabet=COND_ALPHABET, max_size=8)
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=COND_ALPHABET, max_size=30))
+    return draw(piece) + draw(st.sampled_from(("|", " | ", "|~", " |~"))) + draw(piece) + "=" + draw(piece)
+
+
+class TestCondPattern:
+    @settings(max_examples=2000, deadline=None)
+    @given(cond_bodies(), st.sampled_from(("cond", "cond ", "cond\t", "")))
+    def test_matches_as_the_former_pattern(self, body, head):
+        line = head + body
+        for pos in {0, min(4, len(line))}:
+            new, old = netfile._COND_RE.match(line, pos), FORMER_COND_RE.match(line, pos)
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert new.groups() == old.groups()
+                for group in ("child", "parents", "value"):
+                    assert new.start(group) == old.start(group)
+
+    def test_python_310_syntax(self):
+        # no possessive quantifier or atomic group, which need Python 3.11
+        assert not re.search(r"[*+?}]\+|\(\?>", netfile._COND_RE.pattern)
 
 
 class TestRoundTrip:

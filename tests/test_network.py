@@ -172,6 +172,58 @@ class TestConstruction:
         assert "c" not in built and list(built) == ["a", "b"] and built == changes
 
 
+class TestRecords:
+    """What ``Variable`` and ``Link`` promise: immutable values that compare
+    and hash by their fields, equal only to a record of their own class, and
+    print as before."""
+
+    TABLE = ProbCond1(0.8, 0.2)
+    RECORDS = (
+        (Variable("a", PROB), Variable("a", PROB, None), Variable("a", BEL)),
+        (Variable("a", POSS, (1.0, 0.4)), Variable("a", POSS, (1.0, 0.4)), Variable("a", POSS, (0.4, 1.0))),
+        (Link("c", ("a",), TABLE), Link("c", ("a",), ProbCond1(0.8, 0.2)), Link("c", ("b",), TABLE)),
+    )
+
+    def test_equality_and_hash(self):
+        for rec, same, different in self.RECORDS:
+            assert rec == same and not rec != same
+            assert hash(rec) == hash(same)
+            assert rec != different and not rec == different
+            assert len({rec, same, different}) == 2
+
+    def test_never_equal_to_a_plain_tuple_or_another_record(self):
+        for rec, _, _ in self.RECORDS:
+            fields = (rec.name, rec.formalism, rec.prior) if isinstance(rec, Variable) else (
+                rec.child, rec.parents, rec.table)
+            assert rec != fields and fields != rec
+            assert not rec == fields and not fields == rec
+        assert Variable("c", PROB) != Link("c", ("a",), self.TABLE)
+
+    def test_immutable(self):
+        for rec, _, _ in self.RECORDS:
+            for field in ("name", "formalism", "prior") if isinstance(rec, Variable) else ("child", "parents", "table"):
+                with pytest.raises(AttributeError):
+                    setattr(rec, field, None)
+            with pytest.raises(AttributeError):
+                rec.extra = 7
+
+    def test_repr(self):
+        assert repr(Variable("a", PROB)) == "Variable(name='a', formalism=<Formalism.PROBABILITY: 'prob'>, prior=None)"
+        assert repr(Variable("l", POSS, (1.0, 0.4))) == (
+            "Variable(name='l', formalism=<Formalism.POSSIBILITY: 'poss'>, prior=(1.0, 0.4))"
+        )
+        assert repr(Link("c", ("a",), self.TABLE)) == (
+            "Link(child='c', parents=('a',), table=ProbCond1(p_c_given_a=0.8, p_c_given_na=0.2))"
+        )
+
+    def test_keywords_and_defaults(self):
+        assert Variable(name="a", formalism=PROB) == Variable("a", PROB)
+        assert Variable("a", PROB).prior is None
+        assert Link(child="c", parents=("a",), table=self.TABLE) == Link("c", ("a",), self.TABLE)
+        with pytest.raises(NetworkError, match="must have 1 or 2 parents"):
+            Link("c", (), self.TABLE)
+
+
 class TestCompleteChange:
     """The six completion tables: one per formalism for each of the
     extremal (value pinned at 1) and interior cases."""
