@@ -21,17 +21,18 @@ package needs to know about its kind of link:
   trusted formula says why in ``no_formula`` instead.
 * ``warnings()``: validation warnings about the numbers.
 
-:class:`ConditionalTable` gives the defaults, and states once the cell
-layout of every table that stores numbers.  Such a table defines
-``get(child_pos, *parent_cells)``.  From ``formalism`` and ``arity`` the
-base class works out, per class, its ``cell_keys``: the child outcomes
-(only the positive one for probability, whose complement is implied) by
-each parent's conditioning cells (outcome and complement, and for belief
-the whole frame too).  The constructor takes the values in that order
-(``from_cells``).  On that layout the base class range-checks every value
-and, for belief, each cell's sum over the child outcomes; labels sign and
-marker entries in its default ``cases``; and warns about possibility
-columns that do not reach 1.  A subclass states its fields, ``get``,
+:class:`ConditionalTable` gives the defaults; its default ``cases``
+labels sign and marker entries.  A table that stores numbers derives
+from :class:`CellTable`, which states their cell layout once.  From
+``formalism`` and ``arity`` it works out, per class, its ``cell_keys``:
+the child outcomes (only the positive one for probability, whose
+complement is implied) by each parent's conditioning cells (outcome and
+complement, and for belief the whole frame too).  The fields hold the
+values in that order, as the constructor takes them (``from_cells``), and
+the derived ``get(child_pos, *parent_cells)`` reads them back.  On that
+layout the base class range-checks every value and, for belief, each
+cell's sum over the child outcomes, and warns about possibility columns
+that do not reach 1.  A subclass states its fields in layout order,
 ``_entries``, ``evaluate``, and its own ``cases`` where an entry needs
 more than its sign.
 
@@ -115,64 +116,12 @@ def _matrix(*entries: QSign) -> QMatrix:
 
 
 class ConditionalTable:
-    """The table protocol, its defaults and the cell layout (see the module
-    docstring)."""
+    """The table protocol and its defaults (see the module docstring)."""
 
     formalism: ClassVar[Formalism]
     arity: ClassVar[int]
     state_dependent: ClassVar[bool] = False  # derivative and margin read parent states
     no_formula: ClassVar[str | None] = None  # why there is no ``evaluate``, if there is none
-
-    # The cell layout, set for each subclass that defines ``get``.
-    child_outcomes: ClassVar[tuple[bool, ...]] = ()
-    parent_cells: ClassVar[tuple[Cell, ...]] = ()
-    cell_keys: ClassVar[tuple[tuple[Cell, ...], ...]] = ()  # (child_pos, *parent_cells), in order
-    _labels: ClassVar[tuple[str, ...]] = ()  # each key written out, e.g. 'p(c|a)'
-    _values: ClassVar = None  # table -> its values in cell_keys order
-    _columns: ClassVar[tuple[tuple[tuple[Cell, ...], str], ...]] = ()  # parent cells, written out: 'b,~c'
-    _sum_error: ClassVar[str] = ""  # belief: a column's two values sum above 1
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if not hasattr(cls, "get"):
-            return
-        parents, child = (("a",), "c") if cls.arity == 1 else (("b", "c"), "d")
-        cls.child_outcomes = (True,) if cls.formalism is PROB else (True, False)
-        cls.parent_cells = CELLS if cls.formalism is BEL else (True, False)
-        columns = list(product(cls.parent_cells, repeat=cls.arity))
-        cls.cell_keys = tuple((pos, *cells) for pos in cls.child_outcomes for cells in columns)
-        cls._columns = tuple((cells, ",".join(map(_outcome, parents, cells))) for cells in columns)
-        cls._labels = tuple(
-            f"{_SYMBOL[cls.formalism]}({_outcome(child, pos)}|{given})"
-            for pos in cls.child_outcomes
-            for _, given in cls._columns
-        )
-        given = "." if cls.arity == 1 else "X,Y"
-        cls._sum_error = f"bel({child}|{given}) + bel(~{child}|{given}) must not exceed 1"
-        # the fields hold the values in layout order; the joint table's one
-        # field is already their tuple
-        cls._values = operator.attrgetter(*cls.__annotations__)
-
-    @classmethod
-    def from_cells(cls, values) -> "ConditionalTable":
-        """The table whose ``get`` over ``cell_keys`` returns ``values``."""
-        return cls(*values)
-
-    def __post_init__(self) -> None:
-        """Range-check every value; belief also checks each column's sum.
-        A value's label is written out only for the message of a value out
-        of range."""
-        if not self.cell_keys:
-            return
-        values = self._values(self)
-        for i in range(len(values)):
-            if not 0.0 <= values[i] <= 1.0:
-                _check_unit(self._labels[i], values[i])
-        if self.formalism is BEL:
-            half = len(values) // 2  # the child outcome's row, then its complement's
-            for pos, neg in zip(values[:half], values[half:]):
-                if pos + neg > 1.0 + 1e-12:
-                    raise ValueError(self._sum_error)
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         return tuple([tuple([_CASES[entry] for entry in row]) for row in matrix.rows])
@@ -192,8 +141,74 @@ class ConditionalTable:
         return min(gaps) if gaps else math.inf
 
     def warnings(self) -> tuple[str, ...]:
+        """Validation warnings about the numbers; none by default."""
+        return ()
+
+
+class CellTable(ConditionalTable):
+    """A table that stores its numbers as fields in ``cell_keys`` order
+    (see the module docstring)."""
+
+    # The cell layout, set for each subclass.
+    child_outcomes: ClassVar[tuple[bool, ...]]
+    parent_cells: ClassVar[tuple[Cell, ...]]
+    cell_keys: ClassVar[tuple[tuple[Cell, ...], ...]]  # (child_pos, *parent_cells), in order
+    _index: ClassVar[dict[tuple[Cell, ...], int]]  # each key's place in cell_keys
+    _labels: ClassVar[tuple[str, ...]]  # each key written out, e.g. 'p(c|a)'
+    _values: ClassVar  # table -> its values in cell_keys order
+    _columns: ClassVar[tuple[tuple[tuple[Cell, ...], str], ...]]  # parent cells, written out: 'b,~c'
+    _sum_error: ClassVar[str]  # belief: a column's two values sum above 1
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        parents, child = (("a",), "c") if cls.arity == 1 else (("b", "c"), "d")
+        cls.child_outcomes = (True,) if cls.formalism is PROB else (True, False)
+        cls.parent_cells = CELLS if cls.formalism is BEL else (True, False)
+        columns = list(product(cls.parent_cells, repeat=cls.arity))
+        cls.cell_keys = tuple((pos, *cells) for pos in cls.child_outcomes for cells in columns)
+        cls._index = {key: i for i, key in enumerate(cls.cell_keys)}
+        cls._columns = tuple((cells, ",".join(map(_outcome, parents, cells))) for cells in columns)
+        cls._labels = tuple(
+            f"{_SYMBOL[cls.formalism]}({_outcome(child, pos)}|{given})"
+            for pos in cls.child_outcomes
+            for _, given in cls._columns
+        )
+        given = "." if cls.arity == 1 else "X,Y"
+        cls._sum_error = f"bel({child}|{given}) + bel(~{child}|{given}) must not exceed 1"
+        # the fields hold the values in layout order; the joint table's one
+        # field is already their tuple
+        cls._values = operator.attrgetter(*cls.__annotations__)
+
+    @classmethod
+    def from_cells(cls, values) -> "CellTable":
+        """The table whose ``get`` over ``cell_keys`` returns ``values``."""
+        return cls(*values)
+
+    def __post_init__(self) -> None:
+        """Range-check every value; belief also checks each column's sum.
+        A value's label is written out only for the message of a value out
+        of range."""
+        values = self._values(self)
+        for i in range(len(values)):
+            if not 0.0 <= values[i] <= 1.0:
+                _check_unit(self._labels[i], values[i])
+        if self.formalism is BEL:
+            half = len(values) // 2  # the child outcome's row, then its complement's
+            for pos, neg in zip(values[:half], values[half:]):
+                if pos + neg > 1.0 + 1e-12:
+                    raise ValueError(self._sum_error)
+
+    def get(self, child_pos: bool, *parent_cells: Cell) -> float:
+        """The value at ``(child_pos, *parent_cells)``; a key outside
+        ``cell_keys`` raises ``KeyError``.  Probability stores only the
+        child's positive outcome: its complement is one minus it."""
+        if not child_pos and self.formalism is PROB:
+            return 1.0 - self.get(True, *parent_cells)
+        return self._values(self)[self._index[(child_pos, *parent_cells)]]
+
+    def warnings(self) -> tuple[str, ...]:
         """Possibility: conditioning columns whose values do not reach 1."""
-        if self.formalism is not POSS or not self.cell_keys:
+        if self.formalism is not POSS:
             return ()
         values = self._values(self)
         half = len(values) // 2  # the child outcome's row, then its complement's
@@ -229,7 +244,7 @@ IGNORANT = PossState(1.0, 1.0)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProbCond1(ConditionalTable):
+class ProbCond1(CellTable):
     """p(c | a) and p(c | not a); complements are implied."""
 
     formalism = PROB
@@ -237,10 +252,6 @@ class ProbCond1(ConditionalTable):
 
     p_c_given_a: float
     p_c_given_na: float
-
-    def get(self, child_pos: bool, parent_pos: bool) -> float:
-        p = self.p_c_given_a if parent_pos else self.p_c_given_na
-        return p if child_pos else 1.0 - p
 
     def _entries(self):
         """2x2 matrix over child outcomes (c, ~c) by parent outcomes (a, ~a).
@@ -262,7 +273,7 @@ class ProbCond1(ConditionalTable):
 
 
 @dataclass(frozen=True)
-class ProbCond2(ConditionalTable):
+class ProbCond2(CellTable):
     """p(d | b, c) over the four parent-outcome pairs."""
 
     formalism = PROB
@@ -272,13 +283,6 @@ class ProbCond2(ConditionalTable):
     p_d_given_b_nc: float
     p_d_given_nb_c: float
     p_d_given_nb_nc: float
-
-    def get(self, child_pos: bool, first_pos: bool, second_pos: bool) -> float:
-        if first_pos:
-            p = self.p_d_given_bc if second_pos else self.p_d_given_b_nc
-        else:
-            p = self.p_d_given_nb_c if second_pos else self.p_d_given_nb_nc
-        return p if child_pos else 1.0 - p
 
     def _terms(self) -> list[tuple[float, float]]:
         """Synergy and offset terms of each entry (d, x) of the child's
@@ -354,7 +358,7 @@ def _poss_entry_1(dom_gap: float, head_gap: float) -> tuple[QSign, float]:
 
 
 @dataclass(frozen=True)
-class PossCond1(ConditionalTable):
+class PossCond1(CellTable):
     """Conditional possibilities for a single-parent link."""
 
     formalism = POSS
@@ -365,11 +369,6 @@ class PossCond1(ConditionalTable):
     pi_c_given_na: float
     pi_nc_given_a: float
     pi_nc_given_na: float
-
-    def get(self, child_pos: bool, parent_pos: bool) -> float:
-        if child_pos:
-            return self.pi_c_given_a if parent_pos else self.pi_c_given_na
-        return self.pi_nc_given_a if parent_pos else self.pi_nc_given_na
 
     def _entries(self, parent_state: PossState):
         """2x2 matrix of {+, 0, up, down} entries.
@@ -432,7 +431,7 @@ def _poss_pair_entry(mine: Pair, other: Pair, head: Pair, pi_x: float) -> tuple[
 
 
 @dataclass(frozen=True)
-class PossCond2(ConditionalTable):
+class PossCond2(CellTable):
     """Conditional possibilities for a two-parent link."""
 
     formalism = POSS
@@ -447,15 +446,6 @@ class PossCond2(ConditionalTable):
     pi_nd_given_b_nc: float
     pi_nd_given_nb_c: float
     pi_nd_given_nb_nc: float
-
-    def get(self, child_pos: bool, first_pos: bool, second_pos: bool) -> float:
-        if child_pos:
-            if first_pos:
-                return self.pi_d_given_bc if second_pos else self.pi_d_given_b_nc
-            return self.pi_d_given_nb_c if second_pos else self.pi_d_given_nb_nc
-        if first_pos:
-            return self.pi_nd_given_bc if second_pos else self.pi_nd_given_b_nc
-        return self.pi_nd_given_nb_c if second_pos else self.pi_nd_given_nb_nc
 
     def _entries(self, state_x: PossState, state_y: PossState):
         """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
@@ -509,7 +499,7 @@ class PossCond2(ConditionalTable):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BelCond1(ConditionalTable):
+class BelCond1(CellTable):
     """Conditional beliefs for a single-parent link.
 
     Conditioning cells are the parent outcome, its complement, and the
@@ -525,15 +515,6 @@ class BelCond1(ConditionalTable):
     bel_nc_given_a: float = 0.0
     bel_nc_given_na: float = 0.0
     bel_nc_given_frame: float = 0.0
-
-    def get(self, child_pos: bool, cell: Cell) -> float:
-        if child_pos:
-            if cell is None:
-                return self.bel_c_given_frame
-            return self.bel_c_given_a if cell else self.bel_c_given_na
-        if cell is None:
-            return self.bel_nc_given_frame
-        return self.bel_nc_given_a if cell else self.bel_nc_given_na
 
     def _entries(self):
         """2x2 matrix: entry (x, y) is the sign of bel(x|y) - bel(x|frame)."""
@@ -559,7 +540,7 @@ def _masses(pair: Pair) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class BelCond2Joint(ConditionalTable):
+class BelCond2Joint(CellTable):
     """Joint conditional beliefs bel(z | X, Y) over 9 conditioning cells per
     child outcome, as one tuple in ``cell_keys`` order."""
 
@@ -576,9 +557,6 @@ class BelCond2Joint(ConditionalTable):
     @classmethod
     def from_cells(cls, values) -> "BelCond2Joint":
         return cls(tuple(values))
-
-    def get(self, child_pos: bool, first: Cell, second: Cell) -> float:
-        return self.cells[_JOINT_INDEX[child_pos, first, second]]
 
     def _diffs(self) -> list[tuple[float, ...]]:
         """bel(z | x, Y) - bel(z | frame, Y) over the co-parent cells Y, for
@@ -616,8 +594,6 @@ class BelCond2Joint(ConditionalTable):
             sum([m * cells[k + 9] for k, m in enumerate(joint)]),
         )
 
-
-_JOINT_INDEX = {key: i for i, key in enumerate(BelCond2Joint.cell_keys)}
 
 
 @dataclass(frozen=True)

@@ -83,13 +83,6 @@ class Variable(NamedTuple):
         """True when the prior pins val(x) at exactly 1."""
         return self.prior is not None and self.prior[0] == 1.0
 
-    def extremal_neg(self) -> bool:
-        """True when the prior pins val(~x) at exactly 1."""
-        return self.prior is not None and self.prior[1] == 1.0
-
-    def value_at_zero(self, pos: bool) -> bool:
-        return self.prior is not None and self.prior[0 if pos else 1] == 0.0
-
 
 @dataclass(frozen=True)
 class Link:
@@ -355,14 +348,16 @@ def _link_label(link: Link) -> str:
 # evidence completion and bridging
 # ---------------------------------------------------------------------------
 
-def _feasible_directions(var: Variable, pos: bool) -> QSign:
-    """Directions a change of val(x) (or val(~x)) can physically take."""
-    at_one = var.extremal_pos() if pos else var.extremal_neg()
-    at_zero = var.value_at_zero(pos)
+def _feasible_directions(var: Variable) -> QSign:
+    """Directions a change of val(x) can physically take."""
+    prior = var.prior
+    if prior is None:
+        return UNKNOWN
+    at_one, at_zero = prior[0] == 1.0, prior[0] == 0.0
     if var.formalism is PROB:
         # the pair is complementary, so the other side's bound applies too
-        at_one = at_one or var.value_at_zero(not pos)
-        at_zero = at_zero or (var.extremal_neg() if pos else var.extremal_pos())
+        at_one = at_one or prior[1] == 0.0
+        at_zero = at_zero or prior[1] == 1.0
     if at_one and at_zero:
         return ZERO
     if at_one:
@@ -417,7 +412,7 @@ def complete_change(
             f"possibility variable {var.name!r} needs a prior before evidence can be completed"
         )
 
-    feasible = delta_x.code & _feasible_directions(var, pos=True).code
+    feasible = delta_x.code & _feasible_directions(var).code
     if not feasible:
         raise EvidenceError(f"evidence {delta_x} on {var.name!r} is inconsistent with its prior")
     clipped = QSign(feasible)

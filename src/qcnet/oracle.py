@@ -37,6 +37,7 @@ from .signs import NEG, POS, QSign, ZERO, sign_of
 
 RESAMPLE_CAP = 100
 _DEGENERATE_TOL = 1e-9  # states this close to a decision boundary are resampled
+ZERO_TOLERANCE = 1e-12  # an observed change this close to zero reads as no change
 
 INCREASE = "increase"
 DECREASE = "decrease"
@@ -63,7 +64,6 @@ class PerturbationSpec:
     epsilon: float = 1e-4
     trials: int = 1000
     seed: int = 0
-    zero_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.direction not in (INCREASE, DECREASE):
@@ -76,10 +76,6 @@ class PerturbationSpec:
             raise ValueError("trials must be an integer")
         if self.trials <= 0:
             raise ValueError("trials must be positive")
-        if not math.isfinite(self.zero_tolerance):
-            raise ValueError("zero_tolerance must be finite")
-        if self.zero_tolerance < 0:
-            raise ValueError("zero_tolerance must not be negative")
 
 
 def _sample_prior(formalism: Formalism, rng: random.Random) -> tuple[float, float]:
@@ -466,8 +462,8 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         observed: dict[str, tuple[QSign, QSign]] = {}
         for v in checked:
             obs = (
-                sign_of(after[v][0] - base[v][0], spec.zero_tolerance),
-                sign_of(after[v][1] - base[v][1], spec.zero_tolerance),
+                sign_of(after[v][0] - base[v][0], ZERO_TOLERANCE),
+                sign_of(after[v][1] - base[v][1], ZERO_TOLERANCE),
             )
             observed[v] = obs
             pos_counts[v][_OBSERVED_SLOT[obs[0]]] += 1

@@ -91,12 +91,6 @@ class QSign:
     def is_marker(self) -> bool:
         return self.code > _ALL
 
-    def contains(self, sign: int) -> bool:
-        """Whether a base sign (+1, 0 or -1) is a possible direction."""
-        if self.is_marker:
-            return False
-        return bool(self.code & _BIT_OF_SIGN[sign])
-
     def issubset(self, other: "QSign") -> bool:
         if self.is_marker or other.is_marker:
             return self is other
@@ -160,9 +154,6 @@ NEG_ZERO = QSign(_NEG | _ZERO)
 UNKNOWN = QSign(_ALL)
 UP = QSign(_UP)
 DOWN = QSign(_DOWN)
-
-#: Every sign-set value (no markers).
-SIGN_SETS = tuple(QSign(code) for code in range(1, 8))
 
 
 def sign_of(x: float, zero_tolerance: float = 0.0) -> QSign:

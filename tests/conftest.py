@@ -21,10 +21,14 @@ from qcnet.links import (
     ProbCond2,
 )
 from qcnet.network import BEL, Formalism, Link, Network, POSS, PROB, Variable
+from qcnet.signs import QSign
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 MARGIN = 1e-3
+
+# every sign-set value (no markers)
+SIGN_SETS = tuple(QSign(code) for code in range(1, 8))
 
 
 @pytest.fixture(scope="session")

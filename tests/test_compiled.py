@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polytree
+from conftest import SIGN_SETS, random_polytree
 from qcnet import network
 from qcnet.cli import run_command
 from qcnet.links import IGNORANT, PossCond1, PossCond2, PossState, ProbCond1
@@ -24,7 +24,7 @@ from qcnet.network import (
     validate,
 )
 from qcnet.oracle import OracleError, PerturbationSpec, check_containment
-from qcnet.signs import NEG, POS, SIGN_SETS, ZERO, qadd, qmul
+from qcnet.signs import NEG, POS, ZERO, qadd, qmul
 
 Z = (ZERO, ZERO)
 
@@ -187,7 +187,7 @@ def _evidence(net: Network, rng: random.Random) -> dict:
     for name in rng.sample(sorted(net.variables), min(len(net.variables), rng.randint(1, 3))):
         var = net.variables[name]
         # a possibility value pinned at 1 cannot rise
-        candidates = [s for s in SIGN_SETS if not (var.extremal_pos() and s.contains(1))]
+        candidates = [s for s in SIGN_SETS if not (var.extremal_pos() and POS.issubset(s))]
         evidence[name] = rng.choice(candidates)
     return evidence
 

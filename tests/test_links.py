@@ -3,6 +3,7 @@ independent numeric oracles (total probability, sup-min, mass sums)."""
 
 import math
 import random
+from dataclasses import fields
 from functools import reduce
 from itertools import product
 
@@ -71,6 +72,29 @@ RANGE_LABELS = {
         "bel(~d|b or ~b,c)", "bel(~d|b or ~b,~c)", "bel(~d|b or ~b,c or ~c)",
     ),
 }
+# each field of a table that stores one value per field, with the cell it
+# holds, in declaration order
+FIELD_CELLS = {
+    ProbCond1: (("p_c_given_a", (True, True)), ("p_c_given_na", (True, False))),
+    ProbCond2: (
+        ("p_d_given_bc", (True, True, True)), ("p_d_given_b_nc", (True, True, False)),
+        ("p_d_given_nb_c", (True, False, True)), ("p_d_given_nb_nc", (True, False, False)),
+    ),
+    PossCond1: (
+        ("pi_c_given_a", (True, True)), ("pi_c_given_na", (True, False)),
+        ("pi_nc_given_a", (False, True)), ("pi_nc_given_na", (False, False)),
+    ),
+    PossCond2: (
+        ("pi_d_given_bc", (True, True, True)), ("pi_d_given_b_nc", (True, True, False)),
+        ("pi_d_given_nb_c", (True, False, True)), ("pi_d_given_nb_nc", (True, False, False)),
+        ("pi_nd_given_bc", (False, True, True)), ("pi_nd_given_b_nc", (False, True, False)),
+        ("pi_nd_given_nb_c", (False, False, True)), ("pi_nd_given_nb_nc", (False, False, False)),
+    ),
+    BelCond1: (
+        ("bel_c_given_a", (True, True)), ("bel_c_given_na", (True, False)), ("bel_c_given_frame", (True, None)),
+        ("bel_nc_given_a", (False, True)), ("bel_nc_given_na", (False, False)), ("bel_nc_given_frame", (False, None)),
+    ),
+}
 SUM_ERRORS = {
     BelCond1: "bel(c|.) + bel(~c|.) must not exceed 1",
     BelCond2Joint: "bel(d|X,Y) + bel(~d|X,Y) must not exceed 1",
@@ -87,6 +111,33 @@ class TestCellLayout:
         for table in (construct(cls, values), cls.from_cells(values)):
             assert [table.get(*key) for key in cls.cell_keys] == values
         assert construct(cls, values) == cls.from_cells(values)
+
+    @pytest.mark.parametrize("cls", FIELD_CELLS, ids=lambda c: c.__name__)
+    def test_fields_hold_their_cells_in_layout_order(self, cls):
+        assert [field.name for field in fields(cls)] == [name for name, _ in FIELD_CELLS[cls]]
+        assert cls.cell_keys == tuple(key for _, key in FIELD_CELLS[cls])
+        table = cls(*[0.01 * (i + 1) for i in range(len(cls.cell_keys))])
+        for name, key in FIELD_CELLS[cls]:
+            assert table.get(*key) == getattr(table, name)
+
+    @pytest.mark.parametrize("cls", (ProbCond1, ProbCond2), ids=lambda c: c.__name__)
+    def test_probability_complement_is_implied(self, cls):
+        table = cls(*[0.1 * (i + 1) for i in range(len(cls.cell_keys))])
+        for _, *cells in cls.cell_keys:
+            assert table.get(False, *cells) == 1.0 - table.get(True, *cells)
+
+    @pytest.mark.parametrize("table, key", [
+        (ProbCond1(0.8, 0.2), (True, None)),
+        (ProbCond1(0.8, 0.2), (False, None)),
+        (ProbCond1(0.8, 0.2), (True,)),
+        (ProbCond2(0.9, 0.6, 0.45, 0.2), (True, True, None)),
+        (PossCond1(1.0, 0.4, 0.3, 1.0), (True, None)),
+        (PossCond2(*[1.0] * 8), (False, None, True)),
+        (BelCond1(0.5, 0.2, 0.3, 0.1, 0.4, 0.2), (True, True, True)),
+    ], ids=lambda v: str(v) if isinstance(v, tuple) else type(v).__name__)
+    def test_key_outside_layout_raises(self, table, key):
+        with pytest.raises(KeyError):
+            table.get(*key)
 
     @pytest.mark.parametrize(
         "cls, index, label",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import SIGN_SETS
 from qcnet.signs import (
     DOWN,
     NEG,
@@ -17,7 +18,6 @@ from qcnet.signs import (
     POS_ZERO,
     QMatrix,
     QSign,
-    SIGN_SETS,
     UNKNOWN,
     UP,
     ZERO,
@@ -119,11 +119,11 @@ class TestMarkers:
 
     @given(sign_sets)
     def test_up_never_yields_negative(self, change):
-        assert not qmul(change, UP).contains(-1)
+        assert not NEG.issubset(qmul(change, UP))
 
     @given(sign_sets)
     def test_down_never_yields_positive(self, change):
-        assert not qmul(change, DOWN).contains(1)
+        assert not POS.issubset(qmul(change, DOWN))
 
 
 class TestAlgebraicLaws:
@@ -280,7 +280,7 @@ class TestLookupTables:
     @staticmethod
     def members(value):
         """The base signs (+1, 0, -1) a sign set allows."""
-        return [s for s in (1, 0, -1) if value.contains(s)]
+        return [s for s, sign in ((1, POS), (0, ZERO), (-1, NEG)) if sign.issubset(value)]
 
     @staticmethod
     def from_members(signs):
