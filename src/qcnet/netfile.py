@@ -352,21 +352,20 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
     Returns the network and build diagnostics; the network is None when
     any diagnostic is fatal.  Probability complements may be given
     explicitly but must agree with 1 minus the positive-outcome value;
-    unassigned belief conditionals default to 0.  A link with other than
-    one or two parents, which only a document built by hand can hold, is a
-    diagnostic too.
+    unassigned belief conditionals default to 0.  What only a document
+    built by hand can hold is a diagnostic too, with the message
+    :func:`parse_network` gives for the same line: an unknown formalism, a
+    prior for or a link into an undeclared variable, a link with other
+    than one or two parents.
 
     Linear in the document: each conditional is keyed once by
     :func:`_cond_key`, and each link's values are read from those keys in
     one pass over its table's layout.
     """
-    diags: list[Diagnostic] = []
-    formalisms = {n.name: _FORMALISMS[n.formalism] for n in doc.nodes}
-    prior_of = {p.name: (p.value_x, p.value_nx) for p in doc.priors}
-
-    variables = [
-        Variable(n.name, formalisms[n.name], prior_of.get(n.name)) for n in doc.nodes
-    ]
+    diags = [Diagnostic(n.line, 1, f"unknown formalism {n.formalism!r}") for n in doc.nodes if n.formalism not in _FORMALISMS]
+    formalisms = {n.name: _FORMALISMS[n.formalism] for n in doc.nodes if n.formalism in _FORMALISMS}
+    diags += [Diagnostic(p.line, 1, f"prior for undeclared variable {p.name!r}") for p in doc.priors if p.name not in formalisms]
+    prior_of = {p.name: (p.value_x, p.value_nx) for p in doc.priors if p.name in formalisms}
 
     conds_by_child: dict[str, list[CondDecl]] = {}
     link_of: dict[str, LinkDecl] = {l.child: l for l in doc.links}
@@ -379,13 +378,16 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
 
     links: list[Link] = []
     for decl in doc.links:
+        if decl.child not in formalisms:  # an undeclared parent is a validation error
+            diags.append(Diagnostic(decl.line, 1, f"link references undeclared variable {decl.child!r}"))
+            continue
         table = _build_table(decl, formalisms, conds_by_child.get(decl.child, []), diags)
         if table is not None:
             links.append(Link(decl.child, decl.parents, table))
 
     if diags:
         return None, tuple(diags)
-    return Network(variables, links), ()
+    return Network([Variable(n.name, formalisms[n.name], prior_of.get(n.name)) for n in doc.nodes], links), ()
 
 
 _CELL_OF: dict[str, lc.Cell] = {POS_OUT: True, NEG_OUT: False, FRAME_OUT: None}

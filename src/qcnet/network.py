@@ -520,10 +520,10 @@ def _parent_poss_state(net: Network, parent_name: str) -> PossState:
     return IGNORANT
 
 
-def _require_valid(net: Network) -> CompiledNetwork:
+def _require_valid(net: Network, error: type[Exception] = NetworkError) -> CompiledNetwork:
     compiled = net.compiled
     if not compiled.report.ok:
-        raise NetworkError("invalid network: " + "; ".join(compiled.report.errors))
+        raise error("invalid network: " + "; ".join(compiled.report.errors))
     return compiled
 
 

@@ -31,9 +31,10 @@ from .network import (
     Variable,
     _complete_evidence,
     _evidence_pair,
+    _require_valid,
     _walk,
 )
-from .signs import NEG, POS, QSign, ZERO, sign_of
+from .signs import NEG, POS, ZERO, sign_of
 
 RESAMPLE_CAP = 100
 _DEGENERATE_TOL = 1e-9  # states this close to a decision boundary are resampled
@@ -209,12 +210,6 @@ def _ancestry(net: Network, names: Iterable[str]) -> tuple[list[str], str | None
     return sorted(seen, key=net.compiled.position.__getitem__), None
 
 
-def _require_valid(net: Network) -> None:
-    report = net.compiled.report
-    if not report.ok:
-        raise OracleError("invalid network: " + "; ".join(report.errors))
-
-
 def _exact_typed(model: QuantModel, name: str, formalism: Formalism, label: str) -> tuple[float, float]:
     net = model.network
     var = net.variables.get(name)
@@ -222,7 +217,7 @@ def _exact_typed(model: QuantModel, name: str, formalism: Formalism, label: str)
         raise OracleError(f"unknown variable {name!r}")
     if var.formalism is not formalism:
         raise OracleError(f"{name!r} is not a {label} variable")
-    _require_valid(net)
+    _require_valid(net, OracleError)
     segment, refusal = _ancestry(net, (name,))
     if refusal is not None:
         raise OracleError(refusal)
@@ -291,7 +286,9 @@ class ContainmentReport:
                 obs = f"x[{_histogram(row.observed_pos)}] ~x[{_histogram(row.observed_neg)}]"
             else:
                 obs = "-"
-            lines.append(f"{row.name}\t{pred}\t{obs}\t{row.verdict}")
+            # with no completed trial no row was tested, whatever its kind
+            verdict = row.verdict if self.completed else "UNCHECKED"
+            lines.append(f"{row.name}\t{pred}\t{obs}\t{verdict}")
         lines.append(
             f"# trials={self.trials} completed={self.completed} "
             f"resampled={self.resampled} skipped={self.skipped}"
@@ -358,7 +355,11 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     the root's formalism are recomputed exactly before and after each
     perturbation; variables behind a formalism bridge are only checked for
     the monotone-widening property, since the bridge itself is an
-    assumption with no numeric counterpart.
+    assumption with no numeric counterpart.  Widening adds 0 to both the
+    observed and the predicted sign, so a ``BRIDGE`` row FAILs exactly
+    when a checked parent moved strictly against its prediction (non-zero
+    and outside it): once per such parent and trial.  A report with no
+    completed trial prints ``UNCHECKED`` on every row.
 
     Only the target's descendants and the checked segment (the checked
     variables and their ancestors) are visited: a check costs
@@ -373,8 +374,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     one trial and multiplies that trial's counts by ``spec.trials``: the
     report is the one every trial would give, at the cost of one.
     """
-    _require_valid(net)
-    compiled = net.compiled
+    compiled = _require_valid(net, OracleError)
 
     if spec.target not in net.variables:
         raise OracleError(f"unknown target variable {spec.target!r}")
@@ -399,8 +399,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         v for v in downstream if v in compiled.pure and net.variables[v].formalism is target_form
     )
     checked_set = set(checked)
-    bridge = sorted({c for v in checked for c in compiled.children.get(v, ()) if c not in checked_set})
-    unchecked = sorted(downstream - checked_set - set(bridge))
+    bridge_set = {c for v in checked for c in compiled.children.get(v, ()) if c not in checked_set}
     # Only the segment (the checked variables and their ancestors) is
     # evaluated, and only its roots' priors are sampled (and the target's,
     # which a refused segment leaves out but _perturb reads); the perturbation
@@ -417,11 +416,10 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         link.table.margin() < _DEGENERATE_TOL for link in segment_links if not link.table.state_dependent
     )
 
-    # what every trial reads of the prediction and the bridges
+    # what every trial reads of the prediction; a bridge child's row
+    # counts its checked parents' strict failures
     predicted = {v: prediction[v] for v in checked}
-    bridge_parents = [
-        (child, [p for p in net.link_of[child].parents if p in checked_set]) for child in bridge
-    ]
+    strict = {p: 0 for c in bridge_set for p in net.link_of[c].parents if p in checked_set}
 
     # The check is draw-free when every variable in its plan has a declared
     # prior: _draw then takes every prior from its declaration, whatever the
@@ -434,7 +432,6 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     pos_counts = {v: [0, 0, 0] for v in checked}
     neg_counts = {v: [0, 0, 0] for v in checked}
     failures = {v: 0 for v in checked}
-    bridge_failures = {v: 0 for v in bridge}
     completed = resampled = skipped = 0
 
     for trial in range(1 if draw_free else spec.trials):
@@ -459,27 +456,17 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         after = dict(base)
         after[spec.target] = moved
         _evaluate(model, below, after)
-        observed: dict[str, tuple[QSign, QSign]] = {}
         for v in checked:
-            obs = (
-                sign_of(after[v][0] - base[v][0], ZERO_TOLERANCE),
-                sign_of(after[v][1] - base[v][1], ZERO_TOLERANCE),
-            )
-            observed[v] = obs
-            pos_counts[v][_OBSERVED_SLOT[obs[0]]] += 1
-            neg_counts[v][_OBSERVED_SLOT[obs[1]]] += 1
-            pred = predicted[v]
-            if not (obs[0].issubset(pred[0]) and obs[1].issubset(pred[1])):
+            x = sign_of(after[v][0] - base[v][0], ZERO_TOLERANCE)
+            nx = sign_of(after[v][1] - base[v][1], ZERO_TOLERANCE)
+            pos_counts[v][_OBSERVED_SLOT[x]] += 1
+            neg_counts[v][_OBSERVED_SLOT[nx]] += 1
+            px, pnx = predicted[v]
+            if not (x.issubset(px) and nx.issubset(pnx)):
                 failures[v] += 1
-        for child, parents in bridge_parents:
-            for p in parents:
-                pred_p = predicted[p]
-                obs_p = observed[p]
-                if not (
-                    obs_p[0].widened().issubset(pred_p[0].widened())
-                    and obs_p[1].widened().issubset(pred_p[1].widened())
-                ):
-                    bridge_failures[child] += 1
+                # widening adds 0 to both sides, so only a non-zero miss fails a bridge
+                if v in strict and (x is not ZERO and not x.issubset(px) or nx is not ZERO and not nx.issubset(pnx)):
+                    strict[v] += 1
         completed += 1
 
     if draw_free:
@@ -487,23 +474,15 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         resampled *= RESAMPLE_CAP
     else:
         scale = 1
-    rows = [
-        VariableCheck(
-            v,
-            "checked",
-            predicted[v],
-            tuple(n * scale for n in pos_counts[v]),
-            tuple(n * scale for n in neg_counts[v]),
-            failures[v] * scale,
-        )
-        for v in checked
-    ]
-    rows += [
-        VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), bridge_failures[v] * scale)
-        for v in bridge
-    ]
-    rows += [
-        VariableCheck(v, "unchecked", prediction[v], (0, 0, 0), (0, 0, 0), 0) for v in unchecked
-    ]
-    rows.sort(key=lambda r: r.name)
+    rows = []
+    for v in sorted(downstream):
+        if v in checked_set:
+            pos = tuple(n * scale for n in pos_counts[v])
+            neg = tuple(n * scale for n in neg_counts[v])
+            rows.append(VariableCheck(v, "checked", predicted[v], pos, neg, failures[v] * scale))
+        elif v in bridge_set:
+            fails = sum(strict[p] for p in net.link_of[v].parents if p in strict)
+            rows.append(VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), fails * scale))
+        else:
+            rows.append(VariableCheck(v, "unchecked", prediction[v], (0, 0, 0), (0, 0, 0), 0))
     return ContainmentReport(tuple(rows), spec.trials, completed * scale, resampled * scale, skipped * scale)

@@ -14,6 +14,7 @@ from qcnet import cli
 from qcnet.cli import run_command
 
 MEDICAL = str(SAMPLES / "medical.qn")
+SEPARATE = str(Path(__file__).resolve().parent / "data" / "separate.qn")
 
 EXPECTED_PROPAGATE = (
     "variable\tformalism\td_x\td_not_x\n"
@@ -171,6 +172,20 @@ class TestVerifyCommand:
         assert status == 0
         assert "# target=s direction=increase" in out
         assert "# target=t direction=increase" in out
+
+    def test_check_with_no_completed_trial_prints_unchecked(self):
+        # the y & w -> z joint table has margin 0, so every attempt is
+        # resampled and no row is tested
+        status, out = run_command(["verify", SEPARATE, "--evidence", "u=+", "--trials", "50", "--seed", "7"])
+        assert status == 1
+        assert out == (
+            "# target=u direction=increase\n"
+            "variable\tpredicted\tobserved\tverdict\n"
+            "u\t+,?\tx[none] ~x[none]\tUNCHECKED\n"
+            "y\t?,?\tx[none] ~x[none]\tUNCHECKED\n"
+            "z\t?,?\tx[none] ~x[none]\tUNCHECKED\n"
+            "# trials=50 completed=0 resampled=5000 skipped=50\n"
+        )
 
     def test_deep_chain(self, tmp_path):
         lines = ["node x0 prob"]

@@ -374,6 +374,31 @@ class TestParsedRecords:
         )
         assert build_network(doc) == (None, (Diagnostic(7, 1, "a link takes one or two parents"),))
 
+    @pytest.mark.parametrize(
+        "doc, text, message",
+        [
+            (
+                NetworkDocument((NodeDecl("a", "prob", 1), NodeDecl("b", "xx", 2))),
+                "node a prob\nnode b xx\n",
+                "unknown formalism 'xx'",
+            ),
+            (
+                NetworkDocument((NodeDecl("a", "prob", 1),), links=(LinkDecl(("a",), "c", False, 2),)),
+                "node a prob\nlink a -> c\n",
+                "link references undeclared variable 'c'",
+            ),
+            (
+                NetworkDocument((NodeDecl("a", "prob", 1),), priors=(PriorDecl("b", 0.5, 0.5, 2),)),
+                "node a prob\nprior b 0.5 0.5\n",
+                "prior for undeclared variable 'b'",
+            ),
+        ],
+        ids=["unknown-formalism", "undeclared-child", "undeclared-prior"],
+    )
+    def test_hand_built_document_gets_the_parse_diagnostic(self, doc, text, message):
+        assert build_network(doc) == (None, (Diagnostic(2, 1, message),))
+        assert [(d.line, d.message) for d in parse_network(text).diagnostics] == [(2, message)]
+
 
 # today's pattern for the conditional lines, before the child group was
 # reordered to scan a leading name once

@@ -646,6 +646,27 @@ class TestMatchesRecursiveReference:
         with pytest.raises(OracleError, match=message):
             exact_belief(sample_model(net, 0), "a")
 
+    def test_bridge_failures_match_under_a_negated_probability_table(self, monkeypatch):
+        # unmutated code fails no bridge row; with every ProbCond1 entry
+        # negated, checked probability parents move against their
+        # predictions, and the bridge rows below them count those trials
+        entries = ProbCond1._entries
+        monkeypatch.setattr(ProbCond1, "_entries", lambda self: [(e.negated(), gap) for e, gap in entries(self)])
+        lc._matrix.cache_clear()
+        bridge_fails = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            net = random_polytree(rng, rng.randint(3, 12))
+            for target in sorted(v for v in net.variables if v not in net.link_of):
+                spec = PerturbationSpec(target, INCREASE, trials=4, seed=seed)
+                got = outcome(check_containment, net, {target: POS}, spec)
+                want = outcome(ref_check_containment, net, {target: POS}, spec)
+                assert got == want
+                if isinstance(want, ContainmentReport):
+                    assert got.to_table() == want.to_table()
+                    bridge_fails += sum(row.kind == "bridge" and row.verdict == "FAIL" for row in got.rows)
+        assert bridge_fails > 0
+
     def test_degenerate_segment_skips_before_refusing(self):
         # a table at its decision boundary resamples every attempt, so no
         # trial reaches the per-parent table that has no formula
@@ -846,6 +867,16 @@ class Opposes(ConditionalTable):
         return parent_values[0]
 
 
+@dataclass(frozen=True)
+class Ignores(Opposes):
+    """A probability link whose child stays put, while its derivative
+    claims the child opposes its parent: every check of it fails, and the
+    child never moves against its prediction."""
+
+    def evaluate(self, parent_values):
+        return 0.5, 0.5
+
+
 class TestDrawFreeChecks:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -898,6 +929,18 @@ class TestDrawFreeChecks:
         assert (rows["c"].observed_pos, rows["c"].observed_neg, rows["c"].failures) == ((37, 0, 0), (0, 0, 37), 37)
         assert (rows["b"].verdict, rows["b"].failures) == ("FAIL", 37)
         assert (report.completed, report.resampled, report.skipped) == (37, 0, 0)
+
+    def test_a_bridge_fails_only_where_its_parent_moves_against_the_prediction(self):
+        # c reads no change where it is predicted to move, so c fails; a
+        # widened prediction holds 0, so b behind the bridge does not
+        net = Network(
+            [Variable("a", PROB, (0.3, 0.7)), Variable("b", BEL), Variable("c", PROB)],
+            [Link("c", ("a",), Ignores()), Link("b", ("c",), BEL_TABLE)],
+        )
+        report = check_containment(net, {"a": POS}, PerturbationSpec("a", INCREASE, trials=37, seed=1))
+        rows = {row.name: row for row in report.rows}
+        assert (rows["c"].observed_pos, rows["c"].observed_neg, rows["c"].failures) == ((0, 37, 0), (0, 37, 0), 37)
+        assert (rows["b"].verdict, rows["b"].failures) == ("BRIDGE", 0)
 
     @pytest.mark.parametrize(
         "target_prior, table, epsilon",
