@@ -1,9 +1,12 @@
 """Command line front end.
 
 Subcommands: ``validate``, ``explain``, ``propagate``, ``verify`` and
-``repl``.  All output is deterministic, tab-separated and sorted by
-variable name, so runs are byte-for-byte reproducible.  Exit status is 0
-on success, 1 on validation or propagation errors, 2 on usage errors.
+``repl``, each registered once in the parser with the function that runs
+it on the loaded network.  All output is deterministic, tab-separated and
+sorted by variable name, so runs are byte-for-byte reproducible.  Exit
+status is 0 on success, 1 on validation or propagation errors, 2 on usage
+errors.  What a command returns goes to stdout, whatever its status; the
+message of an error that stops it goes to stderr.
 """
 
 from __future__ import annotations
@@ -14,21 +17,14 @@ import sys
 from typing import IO, Sequence
 
 from .netfile import load_network
-from .network import (
-    ChangeReport,
-    EvidenceError,
-    Network,
-    NetworkError,
-    explain,
-    propagate,
-    validate,
-)
+from .network import ChangeReport, Network, NetworkError, _link_label, explain, propagate, validate
 from .oracle import DECREASE, INCREASE, OracleError, PerturbationSpec, check_containment
 from .signs import NEG, POS, QSign, ZERO, qadd
 
 _EVIDENCE_TOKENS = {"+", "-", "0", "?", "+0", "-0"}
 #: verify's numeric options: (type, default)
 _NUMERIC_OPTIONS = {"--trials": (int, 1000), "--seed": (int, 0), "--epsilon": (float, 1e-4)}
+_DIRECTIONS = {POS: INCREASE, NEG: DECREASE}
 
 
 class _UsageError(Exception):
@@ -46,24 +42,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qcnet", description="qualitative change propagation over uncertainty networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_validate = sub.add_parser("validate", help="check a network file")
-    p_validate.add_argument("file")
+    def command(name: str, run, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        p.set_defaults(run=run)
+        return p
 
-    p_explain = sub.add_parser("explain", help="show every link's derivative matrix")
-    p_explain.add_argument("file")
-
-    p_prop = sub.add_parser("propagate", help="propagate qualitative evidence")
-    p_prop.add_argument("file")
+    command("validate", _cmd_validate, "check a network file")
+    command("explain", _cmd_explain, "show every link's derivative matrix")
+    p_prop = command("propagate", _cmd_propagate, "propagate qualitative evidence")
     p_prop.add_argument("--evidence", default="", help="VAR=SIGN[,VAR=SIGN...]; VAR:neg=SIGN for the negative outcome")
-
-    p_verify = sub.add_parser("verify", help="check predictions against the numeric oracle")
-    p_verify.add_argument("file")
+    p_verify = command("verify", _cmd_verify, "check predictions against the numeric oracle")
     p_verify.add_argument("--evidence", required=True, help="directional evidence, VAR=+ or VAR=-")
     for option, (kind, default) in _NUMERIC_OPTIONS.items():
         p_verify.add_argument(option, type=kind, default=default)
-
-    p_repl = sub.add_parser("repl", help="interactive evidence queries")
-    p_repl.add_argument("file")
+    command("repl", _cmd_repl, "interactive evidence queries")
 
     return parser
 
@@ -139,8 +132,7 @@ def _change_table(net: Network, report: ChangeReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_validate(ns) -> tuple[int, str]:
-    net = _load(ns.file)
+def _cmd_validate(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
     report = validate(net)
     lines = [f"error: {e}" for e in report.errors] + [f"warning: {w}" for w in report.warnings]
     if report.ok:
@@ -148,11 +140,10 @@ def _cmd_validate(ns) -> tuple[int, str]:
     return (0 if report.ok else 1), "\n".join(lines) + "\n"
 
 
-def _cmd_explain(ns) -> tuple[int, str]:
-    net = _load(ns.file)
+def _cmd_explain(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
     lines = ["link\tchild_outcome\tparent_outcome\tderivative\tcase"]
     for entry in explain(net):
-        label = f"{' & '.join(entry.parents)} -> {entry.child}"
+        label = _link_label(entry.parents, entry.child)
         col_labels = [tok for p in entry.parents for tok in (p, f"~{p}")]
         for child_out, signs, cases in zip((entry.child, f"~{entry.child}"), entry.matrix.rows, entry.cases):
             head = f"{label}\t{child_out}\t"
@@ -160,42 +151,31 @@ def _cmd_explain(ns) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_propagate(ns) -> tuple[int, str]:
-    net = _load(ns.file)
-    evidence = _parse_evidence(ns.evidence)
-    report = propagate(net, evidence)
-    return 0, _change_table(net, report)
+def _cmd_propagate(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
+    return 0, _change_table(net, propagate(net, _parse_evidence(ns.evidence)))
 
 
-def _cmd_verify(ns) -> tuple[int, str]:
-    net = _load(ns.file)
+def _cmd_verify(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
+    """One containment check per evidence variable, in name order.  Every
+    assignment's direction and the numeric options are checked before the
+    first check runs."""
     evidence = _parse_evidence(ns.evidence)
     if not evidence:
         raise _UsageError("verify needs at least one evidence assignment")
-    chunks = []
-    all_pass = True
+    specs = []
     for name in sorted(evidence):
-        dx, dnx = evidence[name]
-        if dx == POS:
-            direction = INCREASE
-        elif dx == NEG:
-            direction = DECREASE
-        else:
+        direction = _DIRECTIONS.get(evidence[name][0])
+        if direction is None:
             raise _UsageError(f"verify needs directional evidence (+ or -) for {name!r}")
         try:
-            spec = PerturbationSpec(
-                target=name,
-                direction=direction,
-                epsilon=ns.epsilon,
-                trials=ns.trials,
-                seed=ns.seed,
-            )
+            specs.append(PerturbationSpec(name, direction, epsilon=ns.epsilon, trials=ns.trials, seed=ns.seed))
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        report = check_containment(net, {name: (dx, dnx)}, spec)
-        chunks.append(f"# target={name} direction={direction}\n" + report.to_table())
-        all_pass = all_pass and report.passed
-    return (0 if all_pass else 1), "".join(chunks)
+    reports = [check_containment(net, {spec.target: evidence[spec.target]}, spec) for spec in specs]
+    table = "".join(
+        f"# target={spec.target} direction={spec.direction}\n" + report.to_table() for spec, report in zip(specs, reports)
+    )
+    return (0 if all(report.passed for report in reports) else 1), table
 
 
 def _merge_evidence(
@@ -218,8 +198,7 @@ def _merge_evidence(
     return merged
 
 
-def _cmd_repl(ns, stdin: IO[str]) -> tuple[int, str]:
-    net = _load(ns.file)
+def _cmd_repl(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
     out: list[str] = []
     held: dict[str, tuple[QSign, QSign | None]] = {}
     holding = False
@@ -254,37 +233,36 @@ def _cmd_repl(ns, stdin: IO[str]) -> tuple[int, str]:
     return 0, "".join(out)
 
 
-def run_command(argv: Sequence[str], stdin: IO[str] | None = None) -> tuple[int, str]:
-    """Run one CLI invocation, returning (exit status, textual output)."""
-    parser = _build_parser()
+def _run(argv: Sequence[str], stdin: IO[str] | None) -> tuple[int, str, str]:
+    """(exit status, report, message): what the command returned, or the
+    message of the usage, network or oracle error that stopped it.  One of
+    the two texts is always empty."""
     try:
-        ns = parser.parse_args(_attach_negative_values(argv))
+        ns = _build_parser().parse_args(_attach_negative_values(argv))
+        return (*ns.run(_load(ns.file), ns, stdin if stdin is not None else sys.stdin), "")
     except _UsageError as exc:
-        return 2, f"usage error: {exc}\n"
+        return 2, "", f"usage error: {exc}\n"
     except SystemExit as exc:  # --help and friends print directly
-        return int(exc.code or 0), ""
-    try:
-        if ns.command == "validate":
-            return _cmd_validate(ns)
-        if ns.command == "explain":
-            return _cmd_explain(ns)
-        if ns.command == "propagate":
-            return _cmd_propagate(ns)
-        if ns.command == "verify":
-            return _cmd_verify(ns)
-        if ns.command == "repl":
-            return _cmd_repl(ns, stdin if stdin is not None else sys.stdin)
-    except _UsageError as exc:
-        return 2, f"usage error: {exc}\n"
-    except (NetworkError, EvidenceError, OracleError) as exc:
-        return 1, f"error: {exc}\n"
-    return 2, "usage error: unknown command\n"
+        return int(exc.code or 0), "", ""
+    except (NetworkError, OracleError) as exc:
+        return 1, "", f"error: {exc}\n"
+
+
+def run_command(argv: Sequence[str], stdin: IO[str] | None = None) -> tuple[int, str]:
+    """Run one CLI invocation, returning (exit status, textual output).
+
+    The output is the command's report, or the message of the error that
+    stopped it; :func:`main` writes the first to stdout, the second to
+    stderr.  The file is loaded before the evidence and the ranges of
+    verify's options are checked, so a load error comes before theirs."""
+    status, report, message = _run(argv, stdin)
+    return status, report + message
 
 
 def main() -> None:
-    status, output = run_command(sys.argv[1:])
-    stream = sys.stdout if status == 0 else sys.stderr
-    stream.write(output)
+    status, report, message = _run(sys.argv[1:], None)
+    sys.stdout.write(report)
+    sys.stderr.write(message)
     raise SystemExit(status)
 
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar
 
-from .signs import DOWN, NEG, POS, QMatrix, QSign, UNKNOWN, UP, ZERO, qadd, qsum, sign_of
+from .signs import DOWN, NEG, POS, QMatrix, QSign, UNKNOWN, UP, ZERO, qsum, sign_of
 
 
 class Formalism(enum.Enum):
@@ -104,6 +104,12 @@ _CASES = {
     POS: "follows", NEG: "varies-inversely", ZERO: "independent",
     UP: "may-follow-up", DOWN: "may-follow-down",
 }
+
+
+def _summed(terms: tuple[float, ...]) -> tuple[QSign, float]:
+    """The two-parent sign rule: an entry is the qualitative sum of its
+    terms' signs, decided by the smallest term in magnitude."""
+    return qsum(map(sign_of, terms)), min(map(abs, terms))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -307,7 +313,7 @@ class ProbCond2(CellTable):
         difference.  Complementing the child flips both terms exactly, so the
         second row is the negation of the first, decided by the same stored
         numbers and so with the same gaps."""
-        row = [(qadd(sign_of(syn), sign_of(off)), min(abs(syn), abs(off))) for syn, off in self._terms()]
+        row = [_summed(terms) for terms in self._terms()]
         return row + [(entry.negated(), gap) for entry, gap in row]
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
@@ -576,7 +582,7 @@ class BelCond2Joint(CellTable):
     def _entries(self):
         """2x4 matrix: entry (z, x) adds, over the three co-parent
         conditioning cells, the sign of bel(z | x, Y) - bel(z | frame, Y)."""
-        return [(qsum(map(sign_of, diffs)), min(map(abs, diffs))) for diffs in self._diffs()]
+        return [_summed(diffs) for diffs in self._diffs()]
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         labels = ["terms=" + ",".join([str(sign_of(d)) for d in diffs]) for diffs in self._diffs()]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import links as lc
-from .network import BEL, Link, Network, POSS, PROB, Variable, _new_record, _record
+from .network import BEL, Link, Network, POSS, PROB, Variable, _link_label, _new_record, _record
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*$")
 # matched from just after the "cond" keyword; the conditioned outcome may
@@ -335,7 +335,7 @@ def serialize_document(doc: NetworkDocument) -> str:
         lines.append(f"prior {p.name} {_fmt(p.value_x)} {_fmt(p.value_nx)}")
     for l in doc.links:
         flag = " separate" if l.separate else ""
-        lines.append(f"link {' & '.join(l.parents)} -> {l.child}{flag}")
+        lines.append(f"link {_link_label(l.parents, l.child)}{flag}")
     for c in doc.conds:
         outs = ", ".join(o.render() for o in c.parents)
         lines.append(f"cond {c.child.render()} | {outs} = {_fmt(c.value)}")

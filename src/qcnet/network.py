@@ -275,20 +275,20 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
         table, parents, child_name = link.table, link.parents, link.child
         for endpoint in (child_name, *parents):
             if endpoint not in variables:
-                errors.append(f"link {_link_label(link)} names unknown variable {endpoint!r}")
+                errors.append(f"link {_link_label(parents, child_name)} names unknown variable {endpoint!r}")
         if len(parents) != table.arity:
             errors.append(
-                f"link {_link_label(link)} has {len(parents)} parents but its table expects {table.arity}"
+                f"link {_link_label(parents, child_name)} has {len(parents)} parents but its table expects {table.arity}"
             )
         if len(parents) == 2 and parents[0] == parents[1]:
-            errors.append(f"link {_link_label(link)} lists the same parent twice")
+            errors.append(f"link {_link_label(parents, child_name)} lists the same parent twice")
         child = variables.get(child_name)
         if child is not None and table.formalism is not child.formalism:
             errors.append(
-                f"link {_link_label(link)} carries a {table.formalism} table but {child_name!r} is {child.formalism}"
+                f"link {_link_label(parents, child_name)} carries a {table.formalism} table but {child_name!r} is {child.formalism}"
             )
         for w in table.warnings():
-            warnings.append(f"link {_link_label(link)}: {w}")
+            warnings.append(f"link {_link_label(parents, child_name)}: {w}")
         if table.state_dependent:
             for p in parents:
                 pv = variables.get(p)
@@ -318,7 +318,7 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
                     parent[rb] = rb = parent[parent[rb]]
                 if ra == rb:
                     errors.append(
-                        f"network is not singly connected: link {_link_label(link)} closes an undirected cycle"
+                        f"network is not singly connected: link {_link_label(link.parents, child_name)} closes an undirected cycle"
                     )
                 else:
                     parent[rb] = ra
@@ -340,8 +340,9 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
-def _link_label(link: Link) -> str:
-    return f"{' & '.join(link.parents)} -> {link.child}"
+def _link_label(parents: Iterable[str], child: str) -> str:
+    """A link as written in a network file: ``a & b -> c``."""
+    return f"{' & '.join(parents)} -> {child}"
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,17 @@ class TestVerifyCommand:
             "# trials=50 completed=0 resampled=5000 skipped=50\n"
         )
 
+    def test_every_assignment_is_checked_before_any_check_runs(self, monkeypatch):
+        # 'a' is not a root, but the usage error of 't' comes first
+        assert run_command(["verify", MEDICAL, "--evidence", "a=+,t=0"]) == (
+            2, "usage error: verify needs directional evidence (+ or -) for 't'\n"
+        )
+        calls = []
+        monkeypatch.setattr(cli, "check_containment", lambda *args: calls.append(args))
+        status, out = run_command(["verify", MEDICAL, "--evidence", "s=+,t=0"])
+        assert (status, calls) == (2, [])
+        assert out == "usage error: verify needs directional evidence (+ or -) for 't'\n"
+
     def test_deep_chain(self, tmp_path):
         lines = ["node x0 prob"]
         for i in range(1, 2000):
@@ -249,6 +260,21 @@ class TestReplCommand:
         assert status == 0
         assert out == "error: evidence names unknown variable 'zz'\n" + EXPECTED_PROPAGATE
 
+    @pytest.mark.parametrize(
+        "queries, evidence",
+        [
+            ("s=+\ns=-\n", "s=?"),
+            ("s=+\ns:neg=-\n", "s=+,s:neg=-"),
+            ("s=+,s:neg=-\ns:neg=-\n", "s=+,s:neg=-"),
+        ],
+        ids=["no-negative-side", "negative-side-new", "both-negative-sides"],
+    )
+    def test_held_variable_assigned_again_adds_the_signs(self, queries, evidence):
+        status, out = run_command(["repl", MEDICAL], stdin=io.StringIO("hold\n" + queries))
+        header = "variable\tformalism\td_x\td_not_x\n"
+        assert (status, out.count(header)) == (0, 2)
+        assert run_command(["propagate", MEDICAL, "--evidence", evidence]) == (0, header + out.split(header)[-1])
+
     def test_quit_stops_reading(self):
         stdin = io.StringIO("quit\ns=+\n")
         _, out = run_command(["repl", MEDICAL], stdin=stdin)
@@ -276,6 +302,42 @@ class TestModuleEntryPoints:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def run_qcnet(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qcnet", *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestOutputStreams:
+    """What a command returns goes to stdout, whatever its status; the
+    message of an error that stops it goes to stderr."""
+
+    def test_failed_verify_table_goes_to_stdout(self):
+        argv = ["verify", SEPARATE, "--evidence", "u=+", "--trials", "5"]
+        status, table = run_command(argv)
+        assert status == 1 and "UNCHECKED" in table
+        proc = run_qcnet(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, table, "")
+
+    def test_invalid_network_report_goes_to_stdout(self, tmp_path):
+        path = tmp_path / "prior.qn"
+        path.write_text("node a prob\nprior a 0.5 0.6\n")
+        proc = run_qcnet("validate", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "error: probability prior of 'a' must sum to 1\n", "")
+
+    def test_load_error_goes_to_stderr(self, tmp_path):
+        path = str(tmp_path / "missing.qn")
+        proc = run_qcnet("propagate", path)
+        message = f"error: cannot read {path!r}: No such file or directory\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+        assert run_command(["propagate", path]) == (1, message)
+
+    def test_usage_error_goes_to_stderr(self):
+        proc = run_qcnet("verify", MEDICAL, "--evidence", "s=0")
+        message = "usage error: verify needs directional evidence (+ or -) for 's'\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 class TestUnreadableInput:

@@ -275,6 +275,48 @@ class TestBuild:
         assert any("must not exceed 1" in d.message for d in diags)
 
 
+class TestLinkAndCondDiagnostics:
+    BEL_NODES = "node a bel\nnode b bel\nnode c bel\nnode x bel\n"
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            (
+                "node a prob\nnode c prob\nlink a c\n",
+                Diagnostic(3, 1, "expected: link PARENT [& PARENT] -> CHILD [separate]"),
+            ),
+            (
+                "node a prob\nnode b prob\nnode c prob\nnode d prob\nlink a & b & c -> d\n",
+                Diagnostic(5, 1, "a link takes one or two parents"),
+            ),
+        ],
+        ids=["no-arrow", "three-parents"],
+    )
+    def test_parse(self, text, diagnostic):
+        assert parse_network(text).diagnostics == (diagnostic,)
+        assert load_network(text) == (None, (diagnostic,))
+
+    @pytest.mark.parametrize(
+        "lines, diagnostic",
+        [
+            (
+                "link a & b -> c separate\ncond c | a, b = 0.5\n",
+                Diagnostic(6, 1, "per-parent tables take one conditioning outcome per line"),
+            ),
+            (
+                "link a & b -> c separate\ncond c | x = 0.5\n",
+                Diagnostic(6, 1, "outcome of 'x' does not name a parent of 'c'"),
+            ),
+            ("link a & b -> c\ncond c | a = 0.5\n", Diagnostic(6, 1, "expected 2 conditioning outcomes for 'c'")),
+        ],
+        ids=["separate-two-outcomes", "separate-non-parent", "joint-one-outcome"],
+    )
+    def test_build(self, lines, diagnostic):
+        text = self.BEL_NODES + lines
+        assert parse_network(text).diagnostics == ()
+        assert load_network(text) == (None, (diagnostic,))
+
+
 class TestRecords:
     """What the declaration records promise: immutable values that compare
     and hash by everything but their line, and print as before."""

@@ -877,6 +877,24 @@ class Ignores(Opposes):
         return 0.5, 0.5
 
 
+EPS = 2**-10  # exact in binary, so each boundary below is exact too
+
+
+class TestPerturb:
+    @pytest.mark.parametrize(
+        "formalism, direction, infeasible, boundary, moved",
+        [
+            (POSS, INCREASE, (1 - EPS / 2, 1.0), (1 - EPS, 1.0), (1.0, 1.0)),  # past 1
+            (POSS, DECREASE, (EPS / 2, 1.0), (EPS, 1.0), (0.0, 1.0)),  # below 0
+            (BEL, DECREASE, (EPS / 2, 0.25), (EPS, 0.25), (0.0, 0.25)),  # below epsilon
+        ],
+        ids=["possibility-increase", "possibility-decrease", "belief-decrease"],
+    )
+    def test_infeasible_move_and_its_feasible_neighbour(self, formalism, direction, infeasible, boundary, moved):
+        assert oracle._perturb(formalism, infeasible, direction, EPS) is None
+        assert oracle._perturb(formalism, boundary, direction, EPS) == moved
+
+
 class TestDrawFreeChecks:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -958,6 +976,23 @@ class TestDrawFreeChecks:
         report = check_containment(net, {"a": POS}, spec)
         assert (report.completed, report.resampled, report.skipped) == (0, 7 * RESAMPLE_CAP, 7)
         assert report == ref_check_containment(net, {"a": POS}, spec)
+
+    @pytest.mark.parametrize(
+        "formalism, prior, direction, sign",
+        [
+            (POSS, (1 - EPS / 2, 1.0), INCREASE, POS),
+            (POSS, (EPS / 2, 1.0), DECREASE, NEG),
+            (BEL, (EPS / 2, 0.25), DECREASE, NEG),
+        ],
+        ids=["possibility-increase", "possibility-decrease", "belief-decrease"],
+    )
+    def test_infeasible_perturbation_skips_every_trial(self, formalism, prior, direction, sign):
+        table = PossCond1(1.0, 0.2, 0.3, 1.0) if formalism is POSS else BEL_TABLE
+        net = Network([Variable("a", formalism, prior), Variable("c", formalism)], [Link("c", ("a",), table)])
+        spec = PerturbationSpec("a", direction, epsilon=EPS, trials=7, seed=4)
+        report = check_containment(net, {"a": sign}, spec)
+        assert (report.completed, report.resampled, report.skipped) == (0, 7 * RESAMPLE_CAP, 7)
+        assert report == ref_check_containment(net, {"a": sign}, spec)
 
     @pytest.mark.parametrize(
         "net, message",

@@ -185,6 +185,10 @@ class TestTextRendering:
     def test_pos_neg_set_renders(self):
         assert POS.union(NEG).token() == "+-"
 
+    def test_matrix_renders_rows_between_brackets(self):
+        assert str(QMatrix(((POS, UP), (NEG, UNKNOWN)))) == "[+ ^; - ?]"
+        assert str(QMatrix(((POS_ZERO, DOWN, ZERO, NEG_ZERO),))) == "[+0 v 0 -0]"
+
 
 def matvec(m, v):
     """Each row's products, summed: the change a matrix sends to each child outcome."""
