@@ -12,8 +12,9 @@ package needs to know about its kind of link:
   that propagation multiplies changes through (rows (x, ~x) of the child
   by two columns (y, ~y) per parent), and ``margin``, the smallest gap:
   how close the table sits to a decision boundary.  Only a
-  ``state_dependent`` table reads its parents' current
-  :class:`PossState`; the others take none.
+  ``state_dependent`` table reads its parents' current states, each a
+  pair (pi(x), pi(~x)) like the values ``evaluate`` takes, and checks
+  each (:func:`_poss_state`); the others take none.
 * ``cases(matrix)``: the label of each matrix entry, as ``explain``
   prints it.
 * ``evaluate(parent_values)``: the child's exact (x, ~x) from its
@@ -132,16 +133,16 @@ class ConditionalTable:
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
         return tuple([tuple([_CASES[entry] for entry in row]) for row in matrix.rows])
 
-    def _entries(self, *parent_states: PossState):
+    def _entries(self, *parent_states: Pair):
         """(entry, gap) of every matrix entry, row by row; none by default."""
         return ()
 
-    def derivative(self, *parent_states: PossState) -> QMatrix:
+    def derivative(self, *parent_states: Pair) -> QMatrix:
         """The entries of ``_entries``, as rows (x, ~x) of the child.  Equal
         entries give the one shared matrix."""
         return _matrix(*[entry for entry, _ in self._entries(*parent_states)])
 
-    def margin(self, *parent_states: PossState) -> float:
+    def margin(self, *parent_states: Pair) -> float:
         """The smallest gap of ``_entries``; infinite when there is none."""
         gaps = [gap for _, gap in self._entries(*parent_states)]
         return min(gaps) if gaps else math.inf
@@ -225,24 +226,8 @@ class CellTable(ConditionalTable):
         ])
 
 
-@dataclass(frozen=True)
-class PossState:
-    """Current possibilities (pi(x), pi(~x)) of one variable, max-normalized."""
-
-    pi_x: float
-    pi_nx: float
-
-    def __post_init__(self) -> None:
-        _check_unit("pi(x)", self.pi_x)
-        _check_unit("pi(~x)", self.pi_nx)
-        if max(self.pi_x, self.pi_nx) != 1.0:
-            raise ValueError("possibility state must satisfy max(pi(x), pi(~x)) = 1")
-
-    def get(self, pos: bool) -> float:
-        return self.pi_x if pos else self.pi_nx
-
-
-IGNORANT = PossState(1.0, 1.0)
+# The possibility state of a parent in another formalism: total ignorance.
+IGNORANT: Pair = (1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +327,17 @@ class ProbCond2(CellTable):
 # possibility
 # ---------------------------------------------------------------------------
 
+def _poss_state(state: Pair) -> Pair:
+    """A parent's state (pi(x), pi(~x)), checked to lie in [0, 1] and to be
+    max-normalized."""
+    pi_x, pi_nx = state
+    _check_unit("pi(x)", pi_x)
+    _check_unit("pi(~x)", pi_nx)
+    if max(pi_x, pi_nx) != 1.0:
+        raise ValueError("possibility state must satisfy max(pi(x), pi(~x)) = 1")
+    return pi_x, pi_nx
+
+
 def _poss_entry_1(dom_gap: float, head_gap: float) -> tuple[QSign, float]:
     """Entry (c, y) of a single-parent possibility matrix, and the smallest
     gap the entry was decided on (infinite for entries never fragile).
@@ -376,7 +372,7 @@ class PossCond1(CellTable):
     pi_nc_given_a: float
     pi_nc_given_na: float
 
-    def _entries(self, parent_state: PossState):
+    def _entries(self, parent_state: Pair):
         """2x2 matrix of {+, 0, up, down} entries.
 
         An entry is + when the parent outcome currently determines the child
@@ -385,7 +381,7 @@ class PossCond1(CellTable):
         fall could, and 0 otherwise.  Each row is decided, with the gaps of
         :func:`_poss_entry_1`, from its two joints min(pi(c|y), pi(y)).
         """
-        pi_a, pi_na = parent_state.pi_x, parent_state.pi_nx
+        pi_a, pi_na = _poss_state(parent_state)
         for cond_a, cond_na in ((self.pi_c_given_a, self.pi_c_given_na), (self.pi_nc_given_a, self.pi_nc_given_na)):
             joint_a, joint_na = min(cond_a, pi_a), min(cond_na, pi_na)
             yield _poss_entry_1(joint_a - joint_na, cond_a - pi_a)
@@ -453,7 +449,7 @@ class PossCond2(CellTable):
     pi_nd_given_nb_c: float
     pi_nd_given_nb_nc: float
 
-    def _entries(self, state_x: PossState, state_y: PossState):
+    def _entries(self, state_x: Pair, state_y: Pair):
         """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
 
         Joint possibilities are min-combinations of the conditional and the two
@@ -463,8 +459,7 @@ class PossCond2(CellTable):
         the parent's outcomes; the gaps are those of :func:`_poss_pair_entry`.
         """
         values = self._values(self)  # pi(z | first, second), first's outcome major
-        first = (state_x.pi_x, state_x.pi_nx)
-        second = (state_y.pi_x, state_y.pi_nx)
+        first, second = _poss_state(state_x), _poss_state(state_y)
         out = []
         for z in (0, 4):
             # parent x first, then x second; with x and y 0 for a parent's

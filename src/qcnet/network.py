@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .links import BEL, IGNORANT, POSS, PROB, ConditionalTable, Formalism, PossState
+from .links import BEL, IGNORANT, POSS, PROB, ConditionalTable, Formalism
 from .signs import (
     NEG,
     NEG_ZERO,
@@ -186,9 +186,10 @@ class CompiledNetwork:
 def _compile(net: Network) -> CompiledNetwork:
     """Validate ``net`` and, when it is valid, evaluate each link's
     derivative once, in topological order.  A state-dependent link reads
-    each parent's :class:`PossState` from one mapping, which holds one state
-    per parent variable however many links it feeds; links with equal
-    entries share one matrix."""
+    each parent's state (pi(x), pi(~x)): its declared prior, which
+    validation requires of a possibility parent, or ``IGNORANT`` for a
+    parent in another formalism.  Links with equal entries share one
+    matrix."""
     children = _child_lists(net)
     order = _kahn_order(net, children)
     report = _check(net, order is not None)
@@ -198,9 +199,8 @@ def _compile(net: Network) -> CompiledNetwork:
     matrices: dict[str, QMatrix] = {}
     steps = []
     pure: set[str] = set()
-    states: dict[str, PossState] = {}  # by parent name, for state-dependent links
     formalism = {name: var.formalism for name, var in net.variables.items()}
-    link_of = net.link_of
+    link_of, variables = net.link_of, net.variables
     for name in order:
         link = link_of.get(name)
         if link is None:
@@ -209,10 +209,7 @@ def _compile(net: Network) -> CompiledNetwork:
             continue
         table, parents = link.table, link.parents
         if table.state_dependent:
-            for p in parents:
-                if p not in states:
-                    states[p] = _parent_poss_state(net, p)
-            matrix = table.derivative(*[states[p] for p in parents])
+            matrix = table.derivative(*[variables[p].prior if formalism[p] is POSS else IGNORANT for p in parents])
         else:
             matrix = table.derivative()
         matrices[name] = matrix
@@ -493,32 +490,6 @@ class ChangeReport:
     changes: ChangeVector
     matrices: Mapping[str, QMatrix]  # keyed by child variable
     provenance: Mapping[str, tuple[Contribution, ...]]
-
-    def trace(self, name: str) -> set[str]:
-        """Evidence variables a change at ``name`` traces back to."""
-        seen = {name}
-        roots: set[str] = set()
-        todo = [name]
-        while todo:
-            n = todo.pop()
-            for contrib in self.provenance.get(n, ()):
-                if contrib.source == "evidence":
-                    roots.add(n)
-                elif contrib.source not in seen:
-                    seen.add(contrib.source)
-                    todo.append(contrib.source)
-        return roots
-
-
-def _parent_poss_state(net: Network, parent_name: str) -> PossState:
-    """A parent's possibility state; validation ensures that a possibility
-    parent of a state-dependent link has a prior."""
-    var = net.variables[parent_name]
-    if var.formalism is POSS:
-        return PossState(*var.prior)
-    # Cross-formalism parent: its possibility is unconstrained, which is
-    # total ignorance on both outcomes.
-    return IGNORANT
 
 
 def _require_valid(net: Network, error: type[Exception] = NetworkError) -> CompiledNetwork:

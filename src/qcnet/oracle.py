@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .links import PossState
 from .network import (
     BEL,
     Change,
@@ -256,14 +255,7 @@ class VariableCheck:
     observed_pos: tuple[int, int, int]  # counts of +, 0, - over trials
     observed_neg: tuple[int, int, int]
     failures: int
-
-    @property
-    def verdict(self) -> str:
-        if self.kind == "checked":
-            return "FAIL" if self.failures else "PASS"
-        if self.kind == "bridge":
-            return "FAIL" if self.failures else "BRIDGE"
-        return "UNCHECKED"
+    verdict: str  # FAIL, PASS (checked), BRIDGE, or UNCHECKED: no trial tested the row
 
 
 @dataclass(frozen=True)
@@ -286,9 +278,7 @@ class ContainmentReport:
                 obs = f"x[{_histogram(row.observed_pos)}] ~x[{_histogram(row.observed_neg)}]"
             else:
                 obs = "-"
-            # with no completed trial no row was tested, whatever its kind
-            verdict = row.verdict if self.completed else "UNCHECKED"
-            lines.append(f"{row.name}\t{pred}\t{obs}\t{verdict}")
+            lines.append(f"{row.name}\t{pred}\t{obs}\t{row.verdict}")
         lines.append(
             f"# trials={self.trials} completed={self.completed} "
             f"resampled={self.resampled} skipped={self.skipped}"
@@ -305,6 +295,7 @@ def _histogram(counts: tuple[int, int, int]) -> str:
 
 
 _OBSERVED_SLOT = {POS: 0, ZERO: 1, NEG: 2}  # histogram slot of an observed sign
+_HELD = {"checked": "PASS", "bridge": "BRIDGE", "unchecked": "UNCHECKED"}  # a row's verdict when nothing failed
 
 
 def _perturb(
@@ -341,7 +332,7 @@ def _perturb(
 def _state_margin(link: Link, values: Mapping[str, tuple[float, float]]) -> float:
     """A state-dependent link's margin at its parents' values."""
     try:
-        return link.table.margin(*[PossState(*values[p]) for p in link.parents])
+        return link.table.margin(*[values[p] for p in link.parents])
     except ValueError as exc:
         # an unnormalized upstream table can denormalize a computed state
         raise OracleError(f"possibility state for link into {link.child!r} is unnormalized: {exc}") from exc
@@ -359,7 +350,7 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
     observed and the predicted sign, so a ``BRIDGE`` row FAILs exactly
     when a checked parent moved strictly against its prediction (non-zero
     and outside it): once per such parent and trial.  A report with no
-    completed trial prints ``UNCHECKED`` on every row.
+    completed trial reads ``UNCHECKED`` on every row.
 
     Only the target's descendants and the checked segment (the checked
     variables and their ancestors) are visited: a check costs
@@ -476,13 +467,14 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
         scale = 1
     rows = []
     for v in sorted(downstream):
+        kind, pos, neg, fails = "unchecked", (0, 0, 0), (0, 0, 0), 0
         if v in checked_set:
+            kind, fails = "checked", failures[v] * scale
             pos = tuple(n * scale for n in pos_counts[v])
             neg = tuple(n * scale for n in neg_counts[v])
-            rows.append(VariableCheck(v, "checked", predicted[v], pos, neg, failures[v] * scale))
         elif v in bridge_set:
-            fails = sum(strict[p] for p in net.link_of[v].parents if p in strict)
-            rows.append(VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), fails * scale))
-        else:
-            rows.append(VariableCheck(v, "unchecked", prediction[v], (0, 0, 0), (0, 0, 0), 0))
+            kind, fails = "bridge", sum(strict[p] for p in net.link_of[v].parents if p in strict) * scale
+        # with no completed trial no row was tested, whatever its kind
+        verdict = ("FAIL" if fails else _HELD[kind]) if completed else "UNCHECKED"
+        rows.append(VariableCheck(v, kind, prediction[v], pos, neg, fails, verdict))
     return ContainmentReport(tuple(rows), spec.trials, completed * scale, resampled * scale, skipped * scale)

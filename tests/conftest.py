@@ -152,14 +152,12 @@ def bel_pair_net(rng: random.Random) -> Network:
 
 
 def poss_link_net(rng: random.Random) -> Network:
-    from qcnet.links import PossState
-
     while True:
         prior = rand_poss_prior(rng)
         cond = rand_poss_cond1(rng)
         # declared states cannot be resampled by the oracle, so reject
         # boundary states at generation time
-        if cond.margin(PossState(*prior)) >= 1e-9:
+        if cond.margin(prior) >= 1e-9:
             return Network(
                 [Variable("a", POSS, prior), Variable("c", POSS)],
                 [Link("c", ("a",), cond)],
@@ -167,12 +165,10 @@ def poss_link_net(rng: random.Random) -> Network:
 
 
 def poss_pair_net(rng: random.Random) -> Network:
-    from qcnet.links import PossState
-
     while True:
         prior_b, prior_c = rand_poss_prior(rng), rand_poss_prior(rng)
         cond = rand_poss_cond2(rng)
-        if cond.margin(PossState(*prior_b), PossState(*prior_c)) >= 1e-9:
+        if cond.margin(prior_b, prior_c) >= 1e-9:
             return Network(
                 [
                     Variable("b", POSS, prior_b),

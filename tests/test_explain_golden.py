@@ -1,7 +1,13 @@
 """``qcnet explain`` and ``qcnet validate`` on a network with a link of
 every table type: the sign and case label of every derivative entry."""
 
+from pathlib import Path
+
+import pytest
+
 from qcnet.cli import run_command
+
+POSS = str(Path(__file__).resolve().parent / "data" / "poss.qn")
 
 # One link of every table type: ProbCond1 (a -> b, d -> e), ProbCond2,
 # PossCond1 and PossCond2 at interior parent states (so the markers show),
@@ -149,3 +155,60 @@ class TestExplainGolden:
             "warning: link r & o -> w: conditional possibilities given ~b,~c do not reach 1\nok\n",
         )
 
+
+
+# tests/data/poss.qn: a one-parent possibility link under a declared state
+# other than (1, 1), one fed by a belief variable (total ignorance), and a
+# two-parent link whose first parent also feeds the one-parent link.
+POSS_EXPLAIN = (
+    "link\tchild_outcome\tparent_outcome\tderivative\tcase\n"
+    "a -> b\tb\ta\t0\tindependent\n"
+    "a -> b\tb\t~a\t+\tfollows\n"
+    "a -> b\t~b\ta\tv\tmay-follow-down\n"
+    "a -> b\t~b\t~a\t^\tmay-follow-up\n"
+    "a & c -> e\te\ta\tv\tmay-follow-down\n"
+    "a & c -> e\te\t~a\t^\tmay-follow-up\n"
+    "a & c -> e\te\tc\t^\tmay-follow-up\n"
+    "a & c -> e\te\t~c\tv\tmay-follow-down\n"
+    "a & c -> e\t~e\ta\tv\tmay-follow-down\n"
+    "a & c -> e\t~e\t~a\t^\tmay-follow-up\n"
+    "a & c -> e\t~e\tc\t+\tfollows\n"
+    "a & c -> e\t~e\t~c\t0\tindependent\n"
+    "g -> h\th\tg\tv\tmay-follow-down\n"
+    "g -> h\th\t~g\t0\tindependent\n"
+    "g -> h\t~h\tg\t0\tindependent\n"
+    "g -> h\t~h\t~g\tv\tmay-follow-down\n"
+)
+
+POSS_PROPAGATE = {
+    "a=-": (
+        "variable\tformalism\td_x\td_not_x\n"
+        "a\tposs\t-\t+0\n"
+        "b\tposs\t+0\t?\n"
+        "c\tposs\t0\t0\n"
+        "e\tposs\t?\t?\n"
+        "g\tbel\t0\t0\n"
+        "h\tposs\t0\t0\n"
+    ),
+    "c=+,g=+": (
+        "variable\tformalism\td_x\td_not_x\n"
+        "a\tposs\t0\t0\n"
+        "b\tposs\t0\t0\n"
+        "c\tposs\t+\t-0\n"
+        "e\tposs\t?\t+\n"
+        "g\tbel\t+\t?\n"
+        "h\tposs\t0\t-0\n"
+    ),
+}
+
+
+class TestPossibilityStatesGolden:
+    def test_validate(self):
+        assert run_command(["validate", POSS]) == (0, "ok\n")
+
+    def test_explain(self):
+        assert run_command(["explain", POSS]) == (0, POSS_EXPLAIN)
+
+    @pytest.mark.parametrize("evidence", sorted(POSS_PROPAGATE))
+    def test_propagate(self, evidence):
+        assert run_command(["propagate", POSS, "--evidence", evidence]) == (0, POSS_PROPAGATE[evidence])

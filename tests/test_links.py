@@ -3,6 +3,7 @@ independent numeric oracles (total probability, sup-min, mass sums)."""
 
 import math
 import random
+import re
 from dataclasses import fields
 from functools import reduce
 from itertools import product
@@ -29,7 +30,6 @@ from qcnet.links import (
     IGNORANT,
     PossCond1,
     PossCond2,
-    PossState,
     ProbCond1,
     ProbCond2,
 )
@@ -217,14 +217,14 @@ def separate_rules_entry(cond_y: float, cond_ny: float, pi_y: float, pi_ny: floa
     return ZERO
 
 
-def separate_rules_degenerate(cond: PossCond1, state: PossState, tol: float) -> bool:
+def separate_rules_degenerate(cond: PossCond1, state: tuple[float, float], tol: float) -> bool:
     """Single-parent degeneracy decided by gaps, apart from the entries."""
     for child_pos in (True, False):
         for parent_pos in (True, False):
             c_y = cond.get(child_pos, parent_pos)
             c_ny = cond.get(child_pos, not parent_pos)
-            pi_y = state.get(parent_pos)
-            pi_ny = state.get(not parent_pos)
+            pi_y = state[0 if parent_pos else 1]
+            pi_ny = state[1 if parent_pos else 0]
             dom_gap = min(c_y, pi_y) - min(c_ny, pi_ny)
             head_gap = c_y - pi_y
             if dom_gap > 0 and head_gap > 0 and (dom_gap < tol or head_gap < tol):
@@ -289,7 +289,7 @@ class TestPossLink:
 
     def test_dominant_with_headroom_follows(self):
         cond = PossCond1(0.8, 0.3, 1.0, 1.0)
-        m = cond.derivative(PossState(0.5, 1.0))
+        m = cond.derivative((0.5, 1.0))
         assert m[0][0] == POS
         # sup-min confirmation, both directions
         up = sup_min1(cond, True, 0.5 + EPS, 1.0) - sup_min1(cond, True, 0.5, 1.0)
@@ -298,7 +298,7 @@ class TestPossLink:
 
     def test_dominant_without_headroom_may_follow_down(self):
         cond = PossCond1(0.8, 0.3, 1.0, 1.0)
-        m = cond.derivative(PossState(1.0, 0.2))
+        m = cond.derivative((1.0, 0.2))
         assert m[0][0] == DOWN
         # only decreases large enough to cross the conditional propagate
         dn = sup_min1(cond, True, 1.0 - 0.5, 0.2) - sup_min1(cond, True, 1.0, 0.2)
@@ -308,7 +308,7 @@ class TestPossLink:
 
     def test_non_dominant_with_headroom_may_follow_up(self):
         cond = PossCond1(0.8, 0.6, 1.0, 1.0)
-        m = cond.derivative(PossState(0.5, 1.0))
+        m = cond.derivative((0.5, 1.0))
         assert m[0][0] == UP
         # small decreases never get through: the other branch pins the sup
         dn = sup_min1(cond, True, 0.5 - EPS, 1.0) - sup_min1(cond, True, 0.5, 1.0)
@@ -318,15 +318,28 @@ class TestPossLink:
         assert up > 0
 
     def test_unnormalized_state_rejected(self):
-        with pytest.raises(ValueError):
-            PossState(0.4, 0.6)
+        message = "possibility state must satisfy max(pi(x), pi(~x)) = 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PossCond1(1.0, 1.0, 0.1, 0.1).derivative((0.4, 0.6))
+
+    @pytest.mark.parametrize("state, message", [
+        ((1.5, 1.0), "pi(x) must lie in [0, 1], got 1.5"),
+        ((1.0, -0.1), "pi(~x) must lie in [0, 1], got -0.1"),
+        ((0.4, 0.6), "possibility state must satisfy max(pi(x), pi(~x)) = 1"),
+    ])
+    def test_every_state_dependent_call_checks_each_state(self, state, message):
+        one, pair = PossCond1(1.0, 1.0, 0.1, 0.1), PossCond2(1, 1, 1, 1, 1, 1, 1, 1)
+        calls = (one.derivative, one.margin, pair.derivative, pair.margin)
+        for call, states in zip(calls, ((state,), (state,), ((1.0, 1.0), state), (state, (1.0, 1.0)))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(*states)
 
     def test_entries_restricted_to_cases(self):
         rng = random.Random(5)
         for _ in range(200):
             cond = rand_poss_cond1(rng)
             u = rng.random()
-            state = PossState(1.0, u) if rng.random() < 0.5 else PossState(u, 1.0)
+            state = (1.0, u) if rng.random() < 0.5 else (u, 1.0)
             m = cond.derivative(state)
             for row in m.rows:
                 for e in row:
@@ -344,12 +357,12 @@ class TestPossLink:
     )
     def test_entries_and_degeneracy_match_separate_rules(self, values, u, x_at_one, tol):
         cond = PossCond1(*values)
-        state = PossState(1.0, u) if x_at_one else PossState(u, 1.0)
+        state = (1.0, u) if x_at_one else (u, 1.0)
         expected = tuple(
             tuple(
                 separate_rules_entry(
                     cond.get(child_pos, parent_pos), cond.get(child_pos, not parent_pos),
-                    state.get(parent_pos), state.get(not parent_pos),
+                    state[0 if parent_pos else 1], state[1 if parent_pos else 0],
                 )
                 for parent_pos in (True, False)
             )
@@ -463,12 +476,12 @@ def sup_min2(cond: PossCond2, child_pos: bool, sx: tuple, sy: tuple) -> float:
 class TestPossPair:
     def test_saturated_states_all_independent(self):
         cond = PossCond2(1, 1, 1, 1, 1, 1, 1, 1)
-        m = cond.derivative(PossState(1, 1), PossState(1, 1))
+        m = cond.derivative((1, 1), (1, 1))
         assert all(e == ZERO for row in m.rows for e in row)
 
     def test_dominant_joint_with_headroom_follows(self):
         cond = make_pair_cond()
-        m = cond.derivative(PossState(0.4, 1.0), PossState(1.0, 0.2))
+        m = cond.derivative((0.4, 1.0), (1.0, 0.2))
         assert m[0][0] == POS
         base = sup_min2(cond, True, (0.4, 1.0), (1.0, 0.2))
         up = sup_min2(cond, True, (0.4 + EPS, 1.0), (1.0, 0.2))
@@ -477,7 +490,7 @@ class TestPossPair:
 
     def test_dominant_joint_without_headroom_may_follow_down(self):
         cond = make_pair_cond()
-        m = cond.derivative(PossState(1.0, 0.4), PossState(1.0, 0.2))
+        m = cond.derivative((1.0, 0.4), (1.0, 0.2))
         assert m[0][0] == DOWN
         base = sup_min2(cond, True, (1.0, 0.4), (1.0, 0.2))
         up = sup_min2(cond, True, (1.0, 0.4), (1.0, 0.2))  # pi(b) cannot rise above 1
@@ -489,7 +502,7 @@ class TestPossPair:
 
         for _ in range(200):
             cond = rand_poss_cond2(rng)
-            m = cond.derivative(PossState(*rand_poss_prior(rng)), PossState(*rand_poss_prior(rng)))
+            m = cond.derivative(rand_poss_prior(rng), rand_poss_prior(rng))
             for row in m.rows:
                 for e in row:
                     assert e in (POS, ZERO, UP, DOWN)
@@ -516,16 +529,16 @@ def ref_poss_pair_entry(cond, child_pos, x_first, x_pos, state_x, state_y):
         return cond.get(child_pos, xv, yv) if x_first else cond.get(child_pos, yv, xv)
 
     def joint(xv, yv):
-        return min(c(xv, yv), state_x.get(xv), state_y.get(yv))
+        return min(c(xv, yv), state_x[0 if xv else 1], state_y[0 if yv else 1])
 
-    pi_x = state_x.get(x_pos)
+    pi_x = state_x[0 if x_pos else 1]
     follows = up = down = False
     gap = math.inf
     pinned = [joint(not x_pos, True), joint(not x_pos, False)]
     for y_pos in (True, False):
         mine = joint(x_pos, y_pos)
         dom_gap = mine - max(joint(not x_pos, y_pos), joint(x_pos, not y_pos), joint(not x_pos, not y_pos))
-        head_gap = min(c(x_pos, y_pos), state_y.get(y_pos)) - pi_x
+        head_gap = min(c(x_pos, y_pos), state_y[0 if y_pos else 1]) - pi_x
         if dom_gap > 0 and head_gap > 0:
             follows = True
             gap = min(gap, dom_gap, head_gap)
@@ -545,7 +558,7 @@ def ref_poss_entries_1(cond, state):
     return [
         ref_poss_entry_1(
             cond.get(child_pos, parent_pos), cond.get(child_pos, not parent_pos),
-            state.get(parent_pos), state.get(not parent_pos),
+            state[0 if parent_pos else 1], state[1 if parent_pos else 0],
         )
         for child_pos in (True, False)
         for parent_pos in (True, False)
@@ -569,7 +582,7 @@ grid_or_unit = st.one_of(st.sampled_from(GRID), unit)
 @st.composite
 def poss_states(draw):
     u = draw(grid_or_unit)
-    return PossState(1.0, u) if draw(st.booleans()) else PossState(u, 1.0)
+    return (1.0, u) if draw(st.booleans()) else (u, 1.0)
 
 
 class TestPossEntriesMatchPerEntryRules:
@@ -824,7 +837,7 @@ class TestParentSwapStability:
                 cond.pi_d_given_bc, cond.pi_d_given_nb_c, cond.pi_d_given_b_nc, cond.pi_d_given_nb_nc,
                 cond.pi_nd_given_bc, cond.pi_nd_given_nb_c, cond.pi_nd_given_b_nc, cond.pi_nd_given_nb_nc,
             )
-            sb, sc = PossState(*rand_poss_prior(rng)), PossState(*rand_poss_prior(rng))
+            sb, sc = rand_poss_prior(rng), rand_poss_prior(rng)
             m = cond.derivative(sb, sc)
             ms = swapped.derivative(sc, sb)
             for i in range(2):
@@ -958,14 +971,14 @@ def former_poss2_entries(self, state_x, state_y):
         for x_first, sx, sy in ((True, state_x, state_y), (False, state_y, state_x)):
             joint, head = {}, {}
             for xv in (True, False):
-                pi_xv = sx.get(xv)
+                pi_xv = sx[0 if xv else 1]
                 for yv in (True, False):
                     c = get(child_pos, xv, yv) if x_first else get(child_pos, yv, xv)
-                    pi_yv = sy.get(yv)
+                    pi_yv = sy[0 if yv else 1]
                     joint[xv, yv] = min(c, pi_xv, pi_yv)
                     head[xv, yv] = min(c, pi_yv)
             for x_pos in (True, False):
-                yield former_poss_pair_entry(joint, head, x_pos, sx.get(x_pos))
+                yield former_poss_pair_entry(joint, head, x_pos, sx[0 if x_pos else 1])
 
 
 def former_bel2_diffs(self, child_pos, x_first, x_pos):
@@ -1037,7 +1050,7 @@ def tables_and_states(draw):
     states = []
     for _ in range(cls.arity):
         u = draw(st.one_of(st.sampled_from(values), grid_or_unit))
-        states.append(draw(st.sampled_from((IGNORANT, PossState(1.0, u), PossState(u, 1.0)))))
+        states.append(draw(st.sampled_from((IGNORANT, (1.0, u), (u, 1.0)))))
     return table, tuple(states)
 
 
@@ -1069,7 +1082,7 @@ class TestSharedMatrices:
         first, second = ProbCond1(0.8, 0.2).derivative(), ProbCond1(0.9, 0.1).derivative()
         assert first is second
         assert first == QMatrix(((POS, NEG), (NEG, POS)))
-        state = PossState(1.0, 0.3)
+        state = (1.0, 0.3)
         assert PossCond1(1, 0.2, 0.1, 1).derivative(state) is PossCond1(1, 0.2, 0.1, 1).derivative(state)
 
     def test_links_with_equal_entries_share_their_matrix(self):

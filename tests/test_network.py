@@ -482,12 +482,6 @@ class TestMalformedEvidence:
 
 
 class TestProvenance:
-    def test_every_nonzero_change_traces_to_evidence(self, medical_net):
-        report = propagate(medical_net, {"s": POS})
-        for name, change in report.changes.items():
-            if change != Z:
-                assert report.trace(name) == {"s"}
-
     def test_bridge_flag_recorded(self, medical_net):
         report = propagate(medical_net, {"s": POS})
         sources = {c.source: c for c in report.provenance["p"]}

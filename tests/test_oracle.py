@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from conftest import (
 )
 from qcnet import links as lc
 from qcnet import oracle
+from qcnet.netfile import load_network
 from qcnet.links import BelCond1, BelCond2Separate, ConditionalTable, PossCond1, ProbCond1
 from qcnet.network import BEL, EvidenceError, Link, Network, POSS, PROB, Variable, propagate
 from qcnet.oracle import (
@@ -320,6 +322,22 @@ class TestCheckContainment:
         assert report.skipped == 5
         assert not report.passed
 
+    def test_no_completed_trial_leaves_every_row_unchecked(self):
+        # the joint table into z sits on a decision boundary: every attempt is resampled
+        net, _ = load_network((Path(__file__).parent / "data" / "separate.qn").read_text())
+        report = check_containment(net, {"u": POS}, PerturbationSpec("u", INCREASE, trials=50, seed=7))
+        assert report.completed == 0 and not report.passed
+        assert [(row.name, row.kind, row.verdict) for row in report.rows] == [
+            ("u", "checked", "UNCHECKED"), ("y", "checked", "UNCHECKED"), ("z", "checked", "UNCHECKED"),
+        ]
+        assert report.to_table() == (
+            "variable\tpredicted\tobserved\tverdict\n"
+            "u\t+,?\tx[none] ~x[none]\tUNCHECKED\n"
+            "y\t?,?\tx[none] ~x[none]\tUNCHECKED\n"
+            "z\t?,?\tx[none] ~x[none]\tUNCHECKED\n"
+            "# trials=50 completed=0 resampled=5000 skipped=50\n"
+        )
+
     def test_table_serialization_shape(self, medical_net):
         spec = PerturbationSpec("s", INCREASE, trials=20, seed=3)
         table = check_containment(medical_net, {"s": POS}, spec).to_table()
@@ -518,10 +536,9 @@ def ref_degenerate(model, link, tol):
     if not isinstance(table, (PossCond1, lc.PossCond2)):
         return False
     try:
-        states = [lc.PossState(*ref_exact(model, p, {})) for p in link.parents]
+        return table.margin(*[ref_exact(model, p, {}) for p in link.parents]) < tol
     except ValueError as exc:
         raise OracleError(f"possibility state for link into {link.child!r} is unnormalized: {exc}") from exc
-    return table.margin(*states) < tol
 
 
 def ref_sample_model(net, seed):
@@ -581,9 +598,20 @@ def ref_check_containment(net, evidence, spec):
                 ):
                     failures[child] += 1
         completed += 1
-    rows = [VariableCheck(v, "checked", prediction[v], *map(tuple, counts[v]), failures[v]) for v in checked]
-    rows += [VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), failures[v]) for v in bridge]
-    rows += [VariableCheck(v, "unchecked", prediction[v], (0, 0, 0), (0, 0, 0), 0) for v in unchecked]
+
+    def verdict(fails, held):
+        # with no completed trial no row was tested, whatever its kind
+        return ("FAIL" if fails else held) if completed else "UNCHECKED"
+
+    rows = [
+        VariableCheck(v, "checked", prediction[v], *map(tuple, counts[v]), failures[v], verdict(failures[v], "PASS"))
+        for v in checked
+    ]
+    rows += [
+        VariableCheck(v, "bridge", prediction[v], (0, 0, 0), (0, 0, 0), failures[v], verdict(failures[v], "BRIDGE"))
+        for v in bridge
+    ]
+    rows += [VariableCheck(v, "unchecked", prediction[v], (0, 0, 0), (0, 0, 0), 0, "UNCHECKED") for v in unchecked]
     rows.sort(key=lambda r: r.name)
     return ContainmentReport(tuple(rows), spec.trials, completed, resampled, skipped)
 

@@ -17,6 +17,7 @@ from qcnet.cli import run_command
 ROOT = Path(__file__).resolve().parent.parent
 MEDICAL = str(ROOT / "samples" / "medical.qn")
 MIXED = str(ROOT / "tests" / "data" / "mixed.qn")
+POSS = str(ROOT / "tests" / "data" / "poss.qn")
 
 MEDICAL_INCREASE = (
     "# target=s direction=increase\n"
@@ -99,6 +100,27 @@ MIXED_WIDE_EPSILON = (
     "# trials=250 completed=250 resampled=141 skipped=0\n"
 )
 
+# possibility checks are draw-free (every possibility root has its prior),
+# so one trial stands for all 50; the belief target g draws its prior
+POSS_STATES = (
+    "# target=a direction=decrease\n"
+    "variable\tpredicted\tobserved\tverdict\n"
+    "a\t-,+0\tx[-=50] ~x[+=50]\tPASS\n"
+    "b\t+0,?\tx[+=50] ~x[0=50]\tPASS\n"
+    "e\t?,?\tx[-=50] ~x[+=50]\tPASS\n"
+    "# trials=50 completed=50 resampled=0 skipped=0\n"
+    "# target=c direction=increase\n"
+    "variable\tpredicted\tobserved\tverdict\n"
+    "c\t+,-0\tx[+=50] ~x[0=50]\tPASS\n"
+    "e\t?,+\tx[0=50] ~x[+=50]\tPASS\n"
+    "# trials=50 completed=50 resampled=0 skipped=0\n"
+    "# target=g direction=decrease\n"
+    "variable\tpredicted\tobserved\tverdict\n"
+    "g\t-,?\tx[-=50] ~x[0=50]\tPASS\n"
+    "h\t-0,-0\t-\tBRIDGE\n"
+    "# trials=50 completed=50 resampled=0 skipped=0\n"
+)
+
 
 @pytest.mark.parametrize(
     "path, evidence, trials, seed, epsilon, expected",
@@ -108,6 +130,7 @@ MIXED_WIDE_EPSILON = (
         pytest.param(MEDICAL, "s=+,t=-", 300, 11, "0.25", MEDICAL_WIDE_EPSILON, id="medical_wide_epsilon"),
         pytest.param(MIXED, "a=+,b=-,f=+,h=-", 200, 5, None, MIXED_ALL_FORMALISMS, id="mixed_all_formalisms"),
         pytest.param(MIXED, "c=-,d=+", 250, 9, "0.2", MIXED_WIDE_EPSILON, id="mixed_wide_epsilon"),
+        pytest.param(POSS, "a=-,c=+,g=-", 50, 7, None, POSS_STATES, id="poss_states"),
     ],
 )
 def test_verify_output_is_pinned(path, evidence, trials, seed, epsilon, expected):
