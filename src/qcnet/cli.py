@@ -117,18 +117,23 @@ def _parse_evidence(text: str) -> dict[str, tuple[QSign, QSign | None]]:
         if slot[idx] is not None:
             raise _UsageError(f"evidence assigns {lhs!r} twice")
         slot[idx] = sign
-    return {
-        name: (dx if dx is not None else ZERO, dnx)
-        for name, (dx, dnx) in out.items()
-    }
+    return {name: (dx if dx is not None else ZERO, dnx) for name, (dx, dnx) in out.items()}
 
 
-def _change_table(net: Network, report: ChangeReport) -> str:
-    lines = ["variable\tformalism\td_x\td_not_x"]
-    variables, changes = net.variables, report.changes
-    for name in sorted(variables):
-        dx, dnx = changes[name]
-        lines.append(f"{name}\t{variables[name].formalism!s}\t{dx}\t{dnx}")
+def _table_rows(net: Network) -> tuple[list[str], dict[str, tuple[int, str]]]:
+    """A change table with no change, and each variable's line number in it and row prefix (name and formalism)."""
+    names = sorted(net.variables)
+    prefixes = [f"{name}\t{net.variables[name].formalism!s}\t" for name in names]
+    rows = {name: (i, prefix) for i, (name, prefix) in enumerate(zip(names, prefixes), start=1)}
+    return ["variable\tformalism\td_x\td_not_x", *[prefix + "0\t0" for prefix in prefixes]], rows
+
+
+def _change_table(table: tuple[list[str], dict[str, tuple[int, str]]], report: ChangeReport) -> str:
+    """The table of :func:`_table_rows` with the changed variables' lines written in."""
+    lines, rows = table[0].copy(), table[1]
+    for name, (dx, dnx) in report.changes._entries.items():
+        i, prefix = rows[name]
+        lines[i] = f"{prefix}{dx}\t{dnx}"
     return "\n".join(lines) + "\n"
 
 
@@ -152,7 +157,7 @@ def _cmd_explain(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
 
 
 def _cmd_propagate(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
-    return 0, _change_table(net, propagate(net, _parse_evidence(ns.evidence)))
+    return 0, _change_table(_table_rows(net), propagate(net, _parse_evidence(ns.evidence)))
 
 
 def _cmd_verify(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
@@ -188,13 +193,7 @@ def _merge_evidence(
             merged[name] = (dx, dnx)
             continue
         old_dx, old_dnx = merged[name]
-        if dnx is None:
-            combined_dnx = old_dnx
-        elif old_dnx is None:
-            combined_dnx = dnx
-        else:
-            combined_dnx = qadd(old_dnx, dnx)
-        merged[name] = (qadd(old_dx, dx), combined_dnx)
+        merged[name] = (qadd(old_dx, dx), old_dnx if dnx is None else dnx if old_dnx is None else qadd(old_dnx, dnx))
     return merged
 
 
@@ -202,6 +201,7 @@ def _cmd_repl(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
     out: list[str] = []
     held: dict[str, tuple[QSign, QSign | None]] = {}
     holding = False
+    table = _table_rows(net)
     for raw in stdin:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -229,7 +229,7 @@ def _cmd_repl(net: Network, ns, stdin: IO[str]) -> tuple[int, str]:
             continue
         if holding:
             held = evidence  # kept only once propagate accepts it
-        out.append(_change_table(net, report))
+        out.append(_change_table(table, report))
     return 0, "".join(out)
 
 

@@ -20,7 +20,7 @@ package needs to know about its kind of link:
 * ``evaluate(parent_values)``: the child's exact (x, ~x) from its
   parents' exact values, for the numeric oracle.  A table without a
   trusted formula says why in ``no_formula`` instead.
-* ``warnings()``: validation warnings about the numbers.
+* ``warnings(parents)``: validation warnings about the numbers.
 
 :class:`ConditionalTable` gives the defaults; its default ``cases``
 labels sign and marker entries.  A table that stores numbers derives
@@ -33,9 +33,9 @@ values in that order, as the constructor takes them (``from_cells``), and
 the derived ``get(child_pos, *parent_cells)`` reads them back.  On that
 layout the base class range-checks every value and, for belief, each
 cell's sum over the child outcomes, and warns about possibility columns
-that do not reach 1.  A subclass states its fields in layout order,
-``_entries``, ``evaluate``, and its own ``cases`` where an entry needs
-more than its sign.
+that do not reach 1.  A subclass states its fields in layout order (its
+``__slots__`` and ``__init__``), ``_entries``, ``evaluate``, and its own
+``cases`` where an entry needs more than its sign.
 
 The derivatives:
 
@@ -49,8 +49,8 @@ The derivatives:
 * belief: the child follows a parent outcome when conditioning on it
   yields more belief than conditioning on the whole frame.
 
-All methods are pure; tables validate their numeric ranges on
-construction.
+All methods are pure; tables are immutable records and validate their
+numeric ranges on construction.
 """
 
 from __future__ import annotations
@@ -59,11 +59,10 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar
 
-from .signs import DOWN, NEG, POS, QMatrix, QSign, UNKNOWN, UP, ZERO, qsum, sign_of
+from .signs import DOWN, NEG, POS, QMatrix, QSign, UNKNOWN, UP, ZERO, _Slotted, qsum, sign_of
 
 
 class Formalism(enum.Enum):
@@ -71,8 +70,10 @@ class Formalism(enum.Enum):
     POSSIBILITY = "poss"
     BELIEF = "bel"
 
+    __hash__ = object.__hash__  # members are singletons: hashed by identity, not by Enum's Python method
+
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 PROB = Formalism.PROBABILITY
@@ -101,9 +102,9 @@ def _outcome(var: str, cell: Cell) -> str:
     return var if cell else f"~{var}"
 
 
-_CASES = {
-    POS: "follows", NEG: "varies-inversely", ZERO: "independent",
-    UP: "may-follow-up", DOWN: "may-follow-down",
+_CASES = {  # by sign code
+    POS.code: "follows", NEG.code: "varies-inversely", ZERO.code: "independent",
+    UP.code: "may-follow-up", DOWN.code: "may-follow-down",
 }
 
 
@@ -125,13 +126,14 @@ def _matrix(*entries: QSign) -> QMatrix:
 class ConditionalTable:
     """The table protocol and its defaults (see the module docstring)."""
 
+    __slots__ = ()  # a slotted table holds no instance dict
     formalism: ClassVar[Formalism]
     arity: ClassVar[int]
     state_dependent: ClassVar[bool] = False  # derivative and margin read parent states
     no_formula: ClassVar[str | None] = None  # why there is no ``evaluate``, if there is none
 
     def cases(self, matrix: QMatrix) -> tuple[tuple[str, ...], ...]:
-        return tuple([tuple([_CASES[entry] for entry in row]) for row in matrix.rows])
+        return tuple([tuple([_CASES[entry.code] for entry in row]) for row in matrix.rows])
 
     def _entries(self, *parent_states: Pair):
         """(entry, gap) of every matrix entry, row by row; none by default."""
@@ -147,15 +149,17 @@ class ConditionalTable:
         gaps = [gap for _, gap in self._entries(*parent_states)]
         return min(gaps) if gaps else math.inf
 
-    def warnings(self) -> tuple[str, ...]:
-        """Validation warnings about the numbers; none by default."""
+    def warnings(self, parents: tuple[str, ...]) -> tuple[str, ...]:
+        """Validation warnings about the numbers of a link from ``parents``;
+        none by default."""
         return ()
 
 
-class CellTable(ConditionalTable):
+class CellTable(_Slotted, ConditionalTable):
     """A table that stores its numbers as fields in ``cell_keys`` order
     (see the module docstring)."""
 
+    __slots__ = ()
     # The cell layout, set for each subclass.
     child_outcomes: ClassVar[tuple[bool, ...]]
     parent_cells: ClassVar[tuple[Cell, ...]]
@@ -184,18 +188,22 @@ class CellTable(ConditionalTable):
         cls._sum_error = f"bel({child}|{given}) + bel(~{child}|{given}) must not exceed 1"
         # the fields hold the values in layout order; the joint table's one
         # field is already their tuple
-        cls._values = operator.attrgetter(*cls.__annotations__)
+        cls._values = operator.attrgetter(*cls._fields)
 
     @classmethod
     def from_cells(cls, values) -> "CellTable":
         """The table whose ``get`` over ``cell_keys`` returns ``values``."""
         return cls(*values)
 
-    def __post_init__(self) -> None:
-        """Range-check every value; belief also checks each column's sum.
-        A value's label is written out only for the message of a value out
-        of range."""
-        values = self._values(self)
+    def _fill(self, values: tuple[float, ...]) -> None:
+        """Check ``values``, then store them one per field."""
+        self._check(values)
+        _Slotted._fill(self, values)
+
+    def _check(self, values: tuple[float, ...]) -> None:
+        """Range-check the values in layout order; belief also checks each
+        column's sum.  A value's label is written out only for the message
+        of a value out of range."""
         for i in range(len(values)):
             if not 0.0 <= values[i] <= 1.0:
                 _check_unit(self._labels[i], values[i])
@@ -213,15 +221,16 @@ class CellTable(ConditionalTable):
             return 1.0 - self.get(True, *parent_cells)
         return self._values(self)[self._index[(child_pos, *parent_cells)]]
 
-    def warnings(self) -> tuple[str, ...]:
-        """Possibility: conditioning columns whose values do not reach 1."""
+    def warnings(self, parents: tuple[str, ...]) -> tuple[str, ...]:
+        """Possibility: conditioning columns whose values do not reach 1,
+        each written over ``parents``."""
         if self.formalism is not POSS:
             return ()
         values = self._values(self)
         half = len(values) // 2  # the child outcome's row, then its complement's
         return tuple([
-            f"conditional possibilities given {given} do not reach 1"
-            for (_, given), pos, neg in zip(self._columns, values[:half], values[half:])
+            f"conditional possibilities given {','.join(map(_outcome, parents, cells))} do not reach 1"
+            for (cells, _), pos, neg in zip(self._columns, values[:half], values[half:])
             if pos < 1.0 and neg < 1.0
         ])
 
@@ -234,15 +243,15 @@ IGNORANT: Pair = (1.0, 1.0)
 # probability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ProbCond1(CellTable):
     """p(c | a) and p(c | not a); complements are implied."""
 
     formalism = PROB
     arity = 1
+    __slots__ = ("p_c_given_a", "p_c_given_na")
 
-    p_c_given_a: float
-    p_c_given_na: float
+    def __init__(self, p_c_given_a: float, p_c_given_na: float) -> None:
+        self._fill((p_c_given_a, p_c_given_na))
 
     def _entries(self):
         """2x2 matrix over child outcomes (c, ~c) by parent outcomes (a, ~a).
@@ -263,17 +272,15 @@ class ProbCond1(CellTable):
         return p_c, 1.0 - p_c
 
 
-@dataclass(frozen=True)
 class ProbCond2(CellTable):
     """p(d | b, c) over the four parent-outcome pairs."""
 
     formalism = PROB
     arity = 2
+    __slots__ = ("p_d_given_bc", "p_d_given_b_nc", "p_d_given_nb_c", "p_d_given_nb_nc")
 
-    p_d_given_bc: float
-    p_d_given_b_nc: float
-    p_d_given_nb_c: float
-    p_d_given_nb_nc: float
+    def __init__(self, p_d_given_bc: float, p_d_given_b_nc: float, p_d_given_nb_c: float, p_d_given_nb_nc: float):
+        self._fill((p_d_given_bc, p_d_given_b_nc, p_d_given_nb_c, p_d_given_nb_nc))
 
     def _terms(self) -> list[tuple[float, float]]:
         """Synergy and offset terms of each entry (d, x) of the child's
@@ -359,18 +366,16 @@ def _poss_entry_1(dom_gap: float, head_gap: float) -> tuple[QSign, float]:
     return ZERO, math.inf
 
 
-@dataclass(frozen=True)
 class PossCond1(CellTable):
     """Conditional possibilities for a single-parent link."""
 
     formalism = POSS
     arity = 1
     state_dependent = True
+    __slots__ = ("pi_c_given_a", "pi_c_given_na", "pi_nc_given_a", "pi_nc_given_na")
 
-    pi_c_given_a: float
-    pi_c_given_na: float
-    pi_nc_given_a: float
-    pi_nc_given_na: float
+    def __init__(self, pi_c_given_a: float, pi_c_given_na: float, pi_nc_given_a: float, pi_nc_given_na: float):
+        self._fill((pi_c_given_a, pi_c_given_na, pi_nc_given_a, pi_nc_given_na))
 
     def _entries(self, parent_state: Pair):
         """2x2 matrix of {+, 0, up, down} entries.
@@ -432,22 +437,19 @@ def _poss_pair_entry(mine: Pair, other: Pair, head: Pair, pi_x: float) -> tuple[
     return (DOWN if down else ZERO), math.inf
 
 
-@dataclass(frozen=True)
 class PossCond2(CellTable):
     """Conditional possibilities for a two-parent link."""
 
     formalism = POSS
     arity = 2
     state_dependent = True
+    __slots__ = ("pi_d_given_bc", "pi_d_given_b_nc", "pi_d_given_nb_c", "pi_d_given_nb_nc",
+                 "pi_nd_given_bc", "pi_nd_given_b_nc", "pi_nd_given_nb_c", "pi_nd_given_nb_nc")
 
-    pi_d_given_bc: float
-    pi_d_given_b_nc: float
-    pi_d_given_nb_c: float
-    pi_d_given_nb_nc: float
-    pi_nd_given_bc: float
-    pi_nd_given_b_nc: float
-    pi_nd_given_nb_c: float
-    pi_nd_given_nb_nc: float
+    def __init__(self, pi_d_given_bc: float, pi_d_given_b_nc: float, pi_d_given_nb_c: float, pi_d_given_nb_nc: float,
+                 pi_nd_given_bc: float, pi_nd_given_b_nc: float, pi_nd_given_nb_c: float, pi_nd_given_nb_nc: float):
+        self._fill((pi_d_given_bc, pi_d_given_b_nc, pi_d_given_nb_c, pi_d_given_nb_nc,
+                    pi_nd_given_bc, pi_nd_given_b_nc, pi_nd_given_nb_c, pi_nd_given_nb_nc))
 
     def _entries(self, state_x: Pair, state_y: Pair):
         """2x4 matrix over (d, ~d) by (b, ~b, c, ~c).
@@ -499,7 +501,6 @@ class PossCond2(CellTable):
 # belief
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BelCond1(CellTable):
     """Conditional beliefs for a single-parent link.
 
@@ -509,13 +510,12 @@ class BelCond1(CellTable):
 
     formalism = BEL
     arity = 1
+    __slots__ = ("bel_c_given_a", "bel_c_given_na", "bel_c_given_frame",
+                 "bel_nc_given_a", "bel_nc_given_na", "bel_nc_given_frame")
 
-    bel_c_given_a: float = 0.0
-    bel_c_given_na: float = 0.0
-    bel_c_given_frame: float = 0.0
-    bel_nc_given_a: float = 0.0
-    bel_nc_given_na: float = 0.0
-    bel_nc_given_frame: float = 0.0
+    def __init__(self, bel_c_given_a: float = 0.0, bel_c_given_na: float = 0.0, bel_c_given_frame: float = 0.0,
+                 bel_nc_given_a: float = 0.0, bel_nc_given_na: float = 0.0, bel_nc_given_frame: float = 0.0):
+        self._fill((bel_c_given_a, bel_c_given_na, bel_c_given_frame, bel_nc_given_a, bel_nc_given_na, bel_nc_given_frame))
 
     def _entries(self):
         """2x2 matrix: entry (x, y) is the sign of bel(x|y) - bel(x|frame)."""
@@ -540,20 +540,19 @@ def _masses(pair: Pair) -> tuple[float, float, float]:
     return b, d, 1.0 - b - d
 
 
-@dataclass(frozen=True)
 class BelCond2Joint(CellTable):
     """Joint conditional beliefs bel(z | X, Y) over 9 conditioning cells per
     child outcome, as one tuple in ``cell_keys`` order."""
 
     formalism = BEL
     arity = 2
+    __slots__ = ("cells",)
 
-    cells: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.cells) != 18:
+    def __init__(self, cells: tuple[float, ...]) -> None:
+        if len(cells) != 18:
             raise ValueError("expected 18 conditional beliefs")
-        super().__post_init__()
+        self._check(cells)
+        _Slotted._fill(self, (cells,))
 
     @classmethod
     def from_cells(cls, values) -> "BelCond2Joint":
@@ -596,17 +595,16 @@ class BelCond2Joint(CellTable):
         )
 
 
-
-@dataclass(frozen=True)
-class BelCond2Separate(ConditionalTable):
+class BelCond2Separate(_Slotted, ConditionalTable):
     """Two independent single-parent belief tables for a two-parent link."""
 
     formalism = BEL
     arity = 2
     no_formula = "per-parent belief tables have no trusted combination formula"
+    __slots__ = ("for_first", "for_second")
 
-    for_first: BelCond1
-    for_second: BelCond1
+    def __init__(self, for_first: BelCond1, for_second: BelCond1) -> None:
+        self._fill((for_first, for_second))
 
     def _entries(self):
         """2x4 matrix: the child weakly follows a parent outcome when

@@ -19,7 +19,6 @@ inconsistent conditionals, range errors).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import links as lc
@@ -95,16 +94,16 @@ class CondDecl(NamedTuple):
     line: int = 0
 
 
-@dataclass(frozen=True)
-class NetworkDocument:
+@_record
+class NetworkDocument(NamedTuple):
     nodes: tuple[NodeDecl, ...] = ()
     priors: tuple[PriorDecl, ...] = ()
     links: tuple[LinkDecl, ...] = ()
     conds: tuple[CondDecl, ...] = ()
 
 
-@dataclass(frozen=True)
-class ParseResult:
+@_record
+class ParseResult(NamedTuple):
     document: NetworkDocument
     diagnostics: tuple[Diagnostic, ...]
 
@@ -136,9 +135,7 @@ def _parse_outcome(token: str, known: dict[str, str]) -> tuple[Outcome | None, s
     """Parse one stripped outcome token against declared variable names."""
     if "|" in token:
         parts = [p.strip() for p in token.split("|")]
-        names = set()
-        for p in parts:
-            names.add(p[1:].strip() if p.startswith("~") else p)
+        names = {p[1:].strip() if p.startswith("~") else p for p in parts}
         if len(parts) != 2 or len(names) != 1:
             return None, f"malformed frame outcome {token!r}"
         (var,) = names
@@ -178,12 +175,14 @@ def _parse_parents(
 def parse_network(text: str) -> ParseResult:
     """Parse network-file text. Total: collects diagnostics, never raises.
 
-    Linear in the text: duplicate link children are found in a set.  Each
-    distinct outcome token is parsed once, and each distinct parent-outcome
-    text once, their :class:`Outcome` and tuple shared by every conditional
-    that names them.  Only successful parses are remembered, since a token
-    naming a variable not yet declared becomes valid once its ``node`` line
-    arrives.  A diagnostic's column points at the token it is about."""
+    Linear in the text: duplicate link children are found in a set.  A
+    ``node`` line registers its variable's tokens ``x`` and ``~x``; any
+    other outcome token is parsed once, and each distinct parent-outcome
+    text split once (or looked up, if it is one registered token), their
+    :class:`Outcome` and tuple shared by every conditional that names them.
+    Only successful parses are remembered, since a token naming a variable
+    not yet declared becomes valid once its ``node`` line arrives.  A
+    diagnostic's column points at the token it is about."""
     nodes: list[NodeDecl] = []
     priors: list[PriorDecl] = []
     links: list[LinkDecl] = []
@@ -192,7 +191,7 @@ def parse_network(text: str) -> ParseResult:
     known: dict[str, str] = {}
     prior_seen: set[str] = set()
     linked: set[str] = set()
-    outcomes: dict[str, Outcome] = {}  # stripped token -> its parsed outcome
+    outcomes: dict[str, Outcome] = {}  # stripped token -> its outcome
     parent_lists: dict[str, tuple[Outcome, ...]] = {}  # parent-outcome text -> its outcomes
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,21 +206,23 @@ def parse_network(text: str) -> ParseResult:
                 continue
             child_token, parents_text, value_text = m.groups()
             child_out = outcomes.get(child_token)
-            if child_out is None:
+            if child_out is None:  # a frame, or a variable not declared yet: either one is an error
                 child_out, err = _parse_outcome(child_token, known)
                 if err:
                     diags.append(Diagnostic(lineno, _column(raw, m.start("child")), err))
                     continue
-                outcomes[child_token] = child_out
             if child_out.kind == FRAME_OUT:
                 diags.append(Diagnostic(lineno, 1, "the conditioned outcome cannot be a frame"))
                 continue
             parent_outs = parent_lists.get(parents_text)
             if parent_outs is None:
-                parent_outs, err, at = _parse_parents(parents_text, known, outcomes)
-                if err:
-                    diags.append(Diagnostic(lineno, _column(raw, m.start("parents") + at), err))
-                    continue
+                if parents_text in outcomes:
+                    parent_outs = (outcomes[parents_text],)
+                else:
+                    parent_outs, err, at = _parse_parents(parents_text, known, outcomes)
+                    if err:
+                        diags.append(Diagnostic(lineno, _column(raw, m.start("parents") + at), err))
+                        continue
                 parent_lists[parents_text] = parent_outs
             try:
                 value = float(value_text)
@@ -231,9 +232,9 @@ def parse_network(text: str) -> ParseResult:
             conds.append(_new_record(CondDecl, (child_out, parent_outs, value, lineno)))
             continue
 
-        head = line.split(None, 1)[0]
+        tokens = line.split()
+        head = tokens[0]
         if head == "node":
-            tokens = line.split()
             if len(tokens) != 3:
                 diags.append(Diagnostic(lineno, 1, "expected: node NAME prob|poss|bel"))
                 continue
@@ -251,9 +252,10 @@ def parse_network(text: str) -> ParseResult:
                 continue
             known[name] = kind
             nodes.append(_new_record(NodeDecl, (name, kind, lineno)))
+            outcomes[name] = _new_record(Outcome, (name, POS_OUT))
+            outcomes["~" + name] = _new_record(Outcome, (name, NEG_OUT))
 
         elif head == "prior":
-            tokens = line.split()
             if len(tokens) != 4:
                 diags.append(Diagnostic(lineno, 1, "expected: prior NAME VALUE VALUE"))
                 continue
@@ -281,9 +283,8 @@ def parse_network(text: str) -> ParseResult:
             pieces = lhs.split("&")
             parents = [p.strip() for p in pieces]
             rhs_tokens = rhs.split()
-            separate = False
-            if len(rhs_tokens) == 2 and rhs_tokens[1] == "separate":
-                separate = True
+            separate = len(rhs_tokens) == 2 and rhs_tokens[1] == "separate"
+            if separate:
                 rhs_tokens = rhs_tokens[:1]
             if len(rhs_tokens) != 1:
                 diags.append(Diagnostic(lineno, 1, "expected: link PARENT [& PARENT] -> CHILD [separate]"))
@@ -316,8 +317,8 @@ def parse_network(text: str) -> ParseResult:
         else:
             diags.append(Diagnostic(lineno, 1, f"unknown directive {head!r}"))
 
-    doc = NetworkDocument(tuple(nodes), tuple(priors), tuple(links), tuple(conds))
-    return ParseResult(doc, tuple(diags))
+    doc = _new_record(NetworkDocument, (tuple(nodes), tuple(priors), tuple(links), tuple(conds)))
+    return _new_record(ParseResult, (doc, tuple(diags)))
 
 
 def _fmt(value: float) -> str:
@@ -387,37 +388,37 @@ def build_network(doc: NetworkDocument) -> tuple[Network | None, tuple[Diagnosti
 
     if diags:
         return None, tuple(diags)
-    return Network([Variable(n.name, formalisms[n.name], prior_of.get(n.name)) for n in doc.nodes], links), ()
+    return Network([_new_record(Variable, (n.name, formalisms[n.name], prior_of.get(n.name))) for n in doc.nodes], links), ()
 
 
 _CELL_OF: dict[str, lc.Cell] = {POS_OUT: True, NEG_OUT: False, FRAME_OUT: None}
 
 
-def _cond_key(decl: LinkDecl, c: CondDecl, frames_ok: bool) -> tuple | str:
-    """Cell key for one conditional line of a link with one or two
-    parents, or an error message.
+def _cond_key(decl: LinkDecl, child: Outcome, outs: tuple[Outcome, ...], frames_ok: bool) -> tuple | str:
+    """Cell key of the conditional ``child | outs`` of a link with one or
+    two parents, or an error message.
 
     Joint tables key by (child_pos, cell per parent in link order);
     'separate' tables name one parent outcome per line and key by
     (child_pos, parent index, cell).  Each outcome is unpacked once."""
-    outs, names = c.parents, decl.parents
+    names = decl.parents
     if decl.separate:
         if len(outs) != 1:
             return "per-parent tables take one conditioning outcome per line"
-        out = outs[0]
-        if out.var not in names:
-            return f"outcome of {out.var!r} does not name a parent of {decl.child!r}"
-        return (c.child.kind == POS_OUT, names.index(out.var), _CELL_OF[out.kind])
+        ((var, kind),) = outs
+        if var not in names:
+            return f"outcome of {var!r} does not name a parent of {decl.child!r}"
+        return (child.kind == POS_OUT, names.index(var), _CELL_OF[kind])
     if len(outs) != len(names):
         return f"expected {len(names)} conditioning outcomes for {decl.child!r}"
     if len(outs) == 1:
         ((var, kind),) = outs
         in_order = var == names[0]
-        key = (c.child.kind == POS_OUT, _CELL_OF[kind])
+        key = (child.kind == POS_OUT, _CELL_OF[kind])
     else:
         (var, kind), (var2, kind2) = outs
         in_order = var == names[0] and var2 == names[1]
-        key = (c.child.kind == POS_OUT, _CELL_OF[kind], _CELL_OF[kind2])
+        key = (child.kind == POS_OUT, _CELL_OF[kind], _CELL_OF[kind2])
     if not in_order:
         return f"conditioning outcomes must follow link parent order ({', '.join(names)})"
     if not frames_ok and None in key:
@@ -430,22 +431,19 @@ def _collect_cells(decl: LinkDecl, conds: list[CondDecl], diags: list[Diagnostic
     after a diagnostic."""
     cells: dict = {}
     ok = True
-    for c in conds:
-        key = _cond_key(decl, c, frames_ok)
-        if isinstance(key, str):
-            diags.append(Diagnostic(c.line, 1, key))
+    for child, outs, value, line in conds:
+        key = _cond_key(decl, child, outs, frames_ok)
+        if key.__class__ is str:
+            diags.append(Diagnostic(line, 1, key))
             ok = False
-            continue
-        value = c.value
-        if not 0.0 <= value <= 1.0:
-            diags.append(Diagnostic(c.line, 1, f"conditional value {value!r} outside [0, 1]"))
+        elif not 0.0 <= value <= 1.0:
+            diags.append(Diagnostic(line, 1, f"conditional value {value!r} outside [0, 1]"))
             ok = False
-            continue
-        if key in cells:
-            diags.append(Diagnostic(c.line, 1, "duplicate conditional assignment"))
+        elif key in cells:
+            diags.append(Diagnostic(line, 1, "duplicate conditional assignment"))
             ok = False
-            continue
-        cells[key] = value
+        else:
+            cells[key] = value
     return cells if ok else None
 
 

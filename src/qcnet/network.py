@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -25,6 +24,7 @@ from .signs import (
     QSign,
     UNKNOWN,
     ZERO,
+    _Slotted,
     qadd,
     qmatvec_terms,
     qsum,
@@ -40,11 +40,11 @@ class EvidenceError(NetworkError):
 
 
 def _record(cls):
-    """Make a ``NamedTuple`` class a value record, as a frozen dataclass
-    would be: equal only to a record of its own class, by every field but a
-    trailing ``line``, and hashed by those fields.  A plain tuple, or a
-    record of another class, is never equal to it.  Unlike a frozen
-    dataclass, it is built without a Python-level call per field."""
+    """Make a ``NamedTuple`` class a value record: equal only to a record
+    of its own class, by every field but a trailing ``line``, and hashed by
+    those fields, never to a plain tuple.  Records built once per call or
+    per line are such tuples; those read in hot loops are slotted
+    (:class:`~qcnet.signs._Slotted`), since their fields read faster."""
     n = len(cls._fields) - (cls._fields[-1] == "line")
 
     def __eq__(self, other):
@@ -84,21 +84,22 @@ class Variable(NamedTuple):
         return self.prior is not None and self.prior[0] == 1.0
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(_Slotted):
     """A directed edge set {parents} -> child with its conditional table."""
 
-    child: str
-    parents: tuple[str, ...]
-    table: ConditionalTable
+    __slots__ = ("child", "parents", "table")
 
-    def __post_init__(self) -> None:
-        if len(self.parents) not in (1, 2):
-            raise NetworkError(f"link into {self.child!r} must have 1 or 2 parents")
+    def __init__(self, child: str, parents: tuple[str, ...], table: ConditionalTable) -> None:
+        if len(parents) not in (1, 2):
+            raise NetworkError(f"link into {child!r} must have 1 or 2 parents")
+        set_child, set_parents, set_table = self._setters
+        set_child(self, child)
+        set_parents(self, parents)
+        set_table(self, table)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@_record
+class ValidationReport(NamedTuple):
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 
@@ -170,8 +171,8 @@ class _Step(NamedTuple):
     matrix: QMatrix | None
 
 
-@dataclass(frozen=True)
-class CompiledNetwork:
+@_record
+class CompiledNetwork(NamedTuple):
     """What queries need from a network that no evidence changes."""
 
     report: ValidationReport
@@ -195,7 +196,7 @@ def _compile(net: Network) -> CompiledNetwork:
     report = _check(net, order is not None)
     if not report.ok:
         empty = MappingProxyType({})
-        return CompiledNetwork(report, children, order, empty, (), empty, frozenset())
+        return _new_record(CompiledNetwork, (report, children, order, empty, (), empty, frozenset()))
     matrices: dict[str, QMatrix] = {}
     steps = []
     pure: set[str] = set()
@@ -219,8 +220,8 @@ def _compile(net: Network) -> CompiledNetwork:
         if True not in bridged and pure.issuperset(parents):
             pure.add(name)
     position = MappingProxyType({name: i for i, name in enumerate(order)})
-    return CompiledNetwork(
-        report, children, order, MappingProxyType(matrices), tuple(steps), position, frozenset(pure)
+    return _new_record(
+        CompiledNetwork, (report, children, order, MappingProxyType(matrices), tuple(steps), position, frozenset(pure))
     )
 
 
@@ -284,7 +285,7 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
             errors.append(
                 f"link {_link_label(parents, child_name)} carries a {table.formalism} table but {child_name!r} is {child.formalism}"
             )
-        for w in table.warnings():
+        for w in table.warnings(parents):
             warnings.append(f"link {_link_label(parents, child_name)}: {w}")
         if table.state_dependent:
             for p in parents:
@@ -334,7 +335,7 @@ def _check(net: Network, acyclic: bool) -> ValidationReport:
         elif var.formalism is BEL and lo + hi > 1.0 + 1e-12:
             errors.append(f"belief prior of {var.name!r} must sum to at most 1")
 
-    return ValidationReport(tuple(errors), tuple(warnings))
+    return _new_record(ValidationReport, (tuple(errors), tuple(warnings)))
 
 
 def _link_label(parents: Iterable[str], child: str) -> str:
@@ -474,8 +475,8 @@ class ChangeVector(Mapping[str, Change]):
         return f"ChangeVector({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class Contribution:
+@_record
+class Contribution(NamedTuple):
     """One source of a variable's change: evidence or a parent link."""
 
     source: str  # "evidence" or a parent variable name
@@ -483,8 +484,8 @@ class Contribution:
     bridged: bool = False
 
 
-@dataclass(frozen=True)
-class ChangeReport:
+@_record
+class ChangeReport(NamedTuple):
     """Result of a propagation pass."""
 
     changes: ChangeVector
@@ -533,12 +534,12 @@ def _walk(
                 cols = slice(2 * idx, 2 * idx + 2)
                 part = (qsum(terms[0][cols]), qsum(terms[1][cols]))
                 if part != ZERO_CHANGE:
-                    contribs.append(Contribution(p, part, bridged[idx]))
+                    contribs.append(_new_record(Contribution, (p, part, bridged[idx])))
 
         ev = completed.get(name)
         if ev is not None:
             total = (qadd(total[0], ev[0]), qadd(total[1], ev[1]))
-            contribs.append(Contribution("evidence", ev))
+            contribs.append(_new_record(Contribution, ("evidence", ev, False)))
 
         if total != ZERO_CHANGE:
             changes[name] = total
@@ -561,11 +562,11 @@ def propagate(net: Network, evidence: Evidence) -> ChangeReport:
     """
     compiled = _require_valid(net)
     changes, provenance = _walk(compiled.steps, _complete_evidence(net, evidence))
-    return ChangeReport(ChangeVector(changes), compiled.matrices, provenance)
+    return _new_record(ChangeReport, (ChangeVector(changes), compiled.matrices, provenance))
 
 
-@dataclass(frozen=True)
-class LinkExplanation:
+@_record
+class LinkExplanation(NamedTuple):
     child: str
     parents: tuple[str, ...]
     matrix: QMatrix
@@ -578,5 +579,5 @@ def explain(net: Network) -> tuple[LinkExplanation, ...]:
     out = []
     for link in sorted(net.links, key=operator.attrgetter("child")):
         matrix = matrices[link.child]
-        out.append(LinkExplanation(link.child, link.parents, matrix, link.table.cases(matrix)))
+        out.append(_new_record(LinkExplanation, (link.child, link.parents, matrix, link.table.cases(matrix))))
     return tuple(out)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import random
 import weakref
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .network import (
     BEL,
@@ -30,10 +29,12 @@ from .network import (
     Variable,
     _complete_evidence,
     _evidence_pair,
+    _new_record,
+    _record,
     _require_valid,
     _walk,
 )
-from .signs import NEG, POS, ZERO, sign_of
+from .signs import NEG, POS, ZERO, _Slotted, sign_of
 
 RESAMPLE_CAP = 100
 _DEGENERATE_TOL = 1e-9  # states this close to a decision boundary are resampled
@@ -47,35 +48,31 @@ class OracleError(Exception):
     """Raised when a network or query cannot be verified numerically."""
 
 
-@dataclass(frozen=True)
-class QuantModel:
+@_record
+class QuantModel(NamedTuple):
     """A network plus a full numeric assignment of priors."""
 
     network: Network
     priors: Mapping[str, tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class PerturbationSpec(_Slotted):
     """How to perturb one evidence variable, and how often."""
 
-    target: str
-    direction: str
-    epsilon: float = 1e-4
-    trials: int = 1000
-    seed: int = 0
+    __slots__ = ("target", "direction", "epsilon", "trials", "seed")
 
-    def __post_init__(self) -> None:
-        if self.direction not in (INCREASE, DECREASE):
+    def __init__(self, target: str, direction: str, epsilon: float = 1e-4, trials: int = 1000, seed: int = 0) -> None:
+        if direction not in (INCREASE, DECREASE):
             raise ValueError(f"direction must be {INCREASE!r} or {DECREASE!r}")
-        if not math.isfinite(self.epsilon):
+        if not math.isfinite(epsilon):
             raise ValueError("epsilon must be finite")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
+        if not isinstance(trials, int) or isinstance(trials, bool):
             raise ValueError("trials must be an integer")
-        if self.trials <= 0:
+        if trials <= 0:
             raise ValueError("trials must be positive")
+        self._fill((target, direction, epsilon, trials, seed))
 
 
 def _sample_prior(formalism: Formalism, rng: random.Random) -> tuple[float, float]:
@@ -151,7 +148,7 @@ def sample_model(net: Network, seed: int) -> QuantModel:
     with ``seed``.  An oracle check samples only the roots its segment
     reads, and gives each the prior this function would.
     """
-    return QuantModel(net, _draw(((0, v) for v in _sampler(net).variables), seed))
+    return _new_record(QuantModel, (net, _draw(((0, v) for v in _sampler(net).variables), seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +242,8 @@ def exact_belief(model: QuantModel, name: str) -> tuple[float, float]:
 # containment checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VariableCheck:
+@_record
+class VariableCheck(NamedTuple):
     """Outcome of the containment check for one variable."""
 
     name: str
@@ -258,8 +255,8 @@ class VariableCheck:
     verdict: str  # FAIL, PASS (checked), BRIDGE, or UNCHECKED: no trial tested the row
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+@_record
+class ContainmentReport(NamedTuple):
     rows: tuple[VariableCheck, ...]
     trials: int
     completed: int
@@ -287,11 +284,7 @@ class ContainmentReport:
 
 
 def _histogram(counts: tuple[int, int, int]) -> str:
-    parts = []
-    for label, n in zip("+0-", counts):
-        if n:
-            parts.append(f"{label}={n}")
-    return ",".join(parts) if parts else "none"
+    return ",".join([f"{label}={n}" for label, n in zip("+0-", counts) if n]) or "none"
 
 
 _OBSERVED_SLOT = {POS: 0, ZERO: 1, NEG: 2}  # histogram slot of an observed sign
@@ -476,5 +469,5 @@ def check_containment(net: Network, evidence: Evidence, spec: PerturbationSpec) 
             kind, fails = "bridge", sum(strict[p] for p in net.link_of[v].parents if p in strict) * scale
         # with no completed trial no row was tested, whatever its kind
         verdict = ("FAIL" if fails else _HELD[kind]) if completed else "UNCHECKED"
-        rows.append(VariableCheck(v, kind, prediction[v], pos, neg, fails, verdict))
-    return ContainmentReport(tuple(rows), spec.trials, completed * scale, resampled * scale, skipped * scale)
+        rows.append(_new_record(VariableCheck, (v, kind, prediction[v], pos, neg, fails, verdict)))
+    return _new_record(ContainmentReport, (tuple(rows), spec.trials, completed * scale, resampled * scale, skipped * scale))

@@ -16,7 +16,6 @@ import from the lifted definitions below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 _POS = 1
@@ -254,22 +253,61 @@ def qsum(values: Iterable[QSign]) -> QSign:
     return _SIGN_OF_CODE[acc]
 
 
-@dataclass(frozen=True, slots=True)
-class QMatrix:
+class _Slotted:
+    """Base of the package's records read in hot loops.  A subclass names
+    its fields in ``__slots__``; its ``__init__`` fills them through their
+    member descriptors' ``__set__`` (``_setters``, or ``_fill`` for all),
+    since assignment raises.  A record equals, and hashes as, only a record
+    of its class with equal fields, prints as ``Class(field=value, ...)``
+    and pickles as a call of its class on its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(vars(cls).get("__slots__", ()))
+        cls._setters = tuple([vars(cls)[name].__set__ for name in cls._fields])
+
+    def _fill(self, values: tuple) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} records are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join([f'{n}={getattr(self, n)!r}' for n in self._fields])})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class QMatrix(_Slotted):
     """A matrix of qualitative derivatives.
 
     Rows range over child outcomes, columns over parent outcomes.  Entries
     may be markers (state-dependent possibilistic links produce them).
     """
 
-    rows: tuple[tuple[QSign, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __init__(self, rows: tuple[tuple[QSign, ...], ...]) -> None:
+        if not rows:
             raise ValueError("a derivative matrix needs at least one row")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged derivative matrix")
+        self._fill((rows,))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -280,6 +318,7 @@ class QMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(e.token() for e in row) for row in self.rows) + "]"
+
 
 
 def qmatvec_terms(m: QMatrix, v: tuple[QSign, ...]) -> tuple[tuple[QSign, ...], ...]:

@@ -152,7 +152,7 @@ class TestExplainGolden:
         path.write_text(ALL_TABLES_QN)
         assert run_command(["validate", str(path)]) == (
             0,
-            "warning: link r & o -> w: conditional possibilities given ~b,~c do not reach 1\nok\n",
+            "warning: link r & o -> w: conditional possibilities given ~r,~o do not reach 1\nok\n",
         )
 
 

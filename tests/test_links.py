@@ -4,7 +4,6 @@ independent numeric oracles (total probability, sup-min, mass sums)."""
 import math
 import random
 import re
-from dataclasses import fields
 from functools import reduce
 from itertools import product
 
@@ -114,9 +113,11 @@ class TestCellLayout:
 
     @pytest.mark.parametrize("cls", FIELD_CELLS, ids=lambda c: c.__name__)
     def test_fields_hold_their_cells_in_layout_order(self, cls):
-        assert [field.name for field in fields(cls)] == [name for name, _ in FIELD_CELLS[cls]]
+        assert cls._fields == tuple(name for name, _ in FIELD_CELLS[cls])
         assert cls.cell_keys == tuple(key for _, key in FIELD_CELLS[cls])
-        table = cls(*[0.01 * (i + 1) for i in range(len(cls.cell_keys))])
+        values = [0.01 * (i + 1) for i in range(len(cls.cell_keys))]
+        table = cls(*values)
+        assert cls(**{name: value for (name, _), value in zip(FIELD_CELLS[cls], values)}) == table
         for name, key in FIELD_CELLS[cls]:
             assert table.get(*key) == getattr(table, name)
 
@@ -171,19 +172,19 @@ class TestCellLayout:
             BelCond2Joint((0.0,) * 17)
         assert str(exc.value) == "expected 18 conditional beliefs"
 
-    @pytest.mark.parametrize("cls, columns", [
-        (PossCond1, ("a", "~a")),
-        (PossCond2, ("b,c", "b,~c", "~b,c", "~b,~c")),
+    @pytest.mark.parametrize("cls, parents, columns", [
+        (PossCond1, ("x",), ("x", "~x")),
+        (PossCond2, ("x", "y"), ("x,y", "x,~y", "~x,y", "~x,~y")),
     ], ids=["PossCond1", "PossCond2"])
-    def test_possibility_warnings_name_each_column(self, cls, columns):
-        assert construct(cls, [1.0] * len(cls.cell_keys)).warnings() == ()
+    def test_possibility_warnings_name_each_column(self, cls, parents, columns):
+        assert construct(cls, [1.0] * len(cls.cell_keys)).warnings(parents) == ()
         for cells, given in zip(product((True, False), repeat=cls.arity), columns):
             values = [0.5 if key[1:] == cells else 1.0 for key in cls.cell_keys]
-            assert construct(cls, values).warnings() == (f"conditional possibilities given {given} do not reach 1",)
+            assert construct(cls, values).warnings(parents) == (f"conditional possibilities given {given} do not reach 1",)
 
     @pytest.mark.parametrize("cls", (ProbCond1, BelCond1), ids=lambda c: c.__name__)
     def test_no_warnings_outside_possibility(self, cls):
-        assert construct(cls, [0.0] * len(cls.cell_keys)).warnings() == ()
+        assert construct(cls, [0.0] * len(cls.cell_keys)).warnings(("x",)) == ()
 
 
 # -- independent oracles -----------------------------------------------------
@@ -1074,7 +1075,8 @@ class TestKernelsMatchFormerCode:
         assert table.margin(*states) == former_margin(table, entries, *states)
         assert table.cases(matrix) == cases(table, matrix)
         if table.formalism is POSS:
-            assert table.warnings() == former_poss_warnings(table)
+            # the former warnings named the layout's own parents
+            assert table.warnings(("a",) if table.arity == 1 else ("b", "c")) == former_poss_warnings(table)
 
 
 class TestSharedMatrices:

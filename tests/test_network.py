@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SIGN_SETS, prob_chain_net, random_polytree
-from qcnet.links import PossCond1, ProbCond1, ProbCond2
+from qcnet.links import PossCond1, PossCond2, ProbCond1, ProbCond2
 from qcnet.network import (
     BEL,
     ChangeVector,
@@ -122,6 +122,21 @@ class TestValidate:
         report = validate(net)
         assert report.ok
         assert any("do not reach 1" in w for w in report.warnings)
+
+    def test_possibility_warnings_name_the_link_parents(self):
+        one = Network(
+            [Variable("r", POSS, (1.0, 0.5)), Variable("w", POSS)],
+            [Link("w", ("r",), PossCond1(1.0, 0.3, 0.2, 0.9))],
+        )
+        assert validate(one).warnings == ("link r -> w: conditional possibilities given ~r do not reach 1",)
+        two = Network(
+            [Variable("r", POSS, (1.0, 0.5)), Variable("o", POSS, (0.4, 1.0)), Variable("w", POSS)],
+            [Link("w", ("r", "o"), PossCond2(1, 0.5, 1, 0.5, 0.2, 0.3, 0.1, 0.6))],
+        )
+        assert validate(two).warnings == (
+            "link r & o -> w: conditional possibilities given r,~o do not reach 1",
+            "link r & o -> w: conditional possibilities given ~r,~o do not reach 1",
+        )
 
     def test_bad_priors(self):
         net = Network([Variable("a", PROB, (0.7, 0.6))], [])

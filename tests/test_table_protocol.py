@@ -120,3 +120,26 @@ class TestTableStatingOnlyEntries:
 
     def test_table_stating_its_derivative_has_no_margin(self):
         assert Copy().margin() == float("inf")
+
+
+class Scaled(ConditionalTable):
+    """A table written as a plain class, keeping its number as an attribute."""
+
+    formalism = PROB
+    arity = 1
+
+    def __init__(self, weight: float):
+        self.weight = weight
+
+    def _entries(self):
+        return (POS, self.weight), (NEG, self.weight), (NEG, self.weight), (POS, self.weight)
+
+
+class TestPlainTableClass:
+    def test_keeps_its_attributes_and_identity(self):
+        # only the package's own tables are immutable records
+        first, second = Scaled(0.5), Scaled(0.5)
+        assert first != second and first == first
+        first.weight = 0.25
+        assert first.margin() == 0.25
+        assert propagate(copy_net(second), {"a": POS}).changes["c"] == (POS, NEG)
